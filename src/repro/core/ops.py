@@ -3,7 +3,7 @@
 The kernel treats arithmetic, comparisons, ``if``, distribution
 constructors, and distribution accessors as *external operators*
 (Section 3.1; footnote 3 for ``if``). This module is the single
-registry both the co-iterative interpreter and the muF evaluator use.
+registry both the co-iterative interpreter and compiled muF code use.
 
 Operators receive already-evaluated arguments, which may be symbolic
 under delayed sampling — the lifted implementations from

@@ -130,20 +130,15 @@ def infer(
             return engine
         if decision is True and key in ("sds", "bds"):
             # Conclusively batchable but unregistered: build the generic
-            # graph engine directly. Construction failures fall through
-            # to the scalar engine (the analysis was optimistic about a
-            # shape the graph runtime does not cover yet).
+            # graph engine directly.
             from repro.vectorized.engine import VectorizedGaussianChainSDS
 
-            try:
-                return VectorizedGaussianChainSDS(
-                    model,
-                    mode=key,
-                    n_particles=n_particles,
-                    seed=seed,
-                    rng=rng,
-                    **kwargs,
-                )
-            except Exception:
-                pass
+            return VectorizedGaussianChainSDS(
+                model,
+                mode=key,
+                n_particles=n_particles,
+                seed=seed,
+                rng=rng,
+                **kwargs,
+            )
     return ENGINES[key](model, n_particles=n_particles, seed=seed, rng=rng, **kwargs)

@@ -16,6 +16,7 @@ from repro.bench.models import (
     OutlierModel,
     WalkModel,
 )
+from repro.errors import InferenceError
 from repro.inference import infer
 from repro.inference.engine import StreamingDelayedSampler
 from repro.lang import gaussian
@@ -82,6 +83,24 @@ class TestConsultForBackend:
         assert count() == before + 1
 
 
+def _fresh_chain_model():
+    """A bounded, batchable Gaussian chain that no registry knows."""
+
+    class UnregisteredKalman(ProbNode):
+        def init(self):
+            return None
+
+        def step(self, state, yobs, ctx: ProbCtx):
+            if state is None:
+                xt = ctx.sample(gaussian(0.0, 100.0))
+            else:
+                xt = ctx.sample(gaussian(0.8 * state, 1.0))
+            ctx.observe(gaussian(xt, 1.0), yobs)
+            return xt, xt
+
+    return UnregisteredKalman()
+
+
 class TestAutoBackend:
     def test_unbatchable_model_goes_straight_to_scalar(self):
         engine = infer(
@@ -92,26 +111,32 @@ class TestAutoBackend:
     def test_batchable_unregistered_model_gets_graph_engine(self):
         """Conclusively batchable + bounded but never registered: auto
         constructs the generic graph engine instead of probing."""
-
-        class FreshChainModel(ProbNode):
-            def init(self):
-                return None
-
-            def step(self, state, yobs, ctx: ProbCtx):
-                if state is None:
-                    xt = ctx.sample(gaussian(0.0, 100.0))
-                else:
-                    xt = ctx.sample(gaussian(0.8 * state, 1.0))
-                ctx.observe(gaussian(xt, 1.0), yobs)
-                return xt, xt
-
-        assert FreshChainModel not in SDS_ENGINES
-        engine = infer(
-            FreshChainModel(), n_particles=4, method="sds", backend="auto", seed=0
-        )
+        model = _fresh_chain_model()
+        assert type(model) not in SDS_ENGINES
+        engine = infer(model, n_particles=4, method="sds", backend="auto", seed=0)
         assert isinstance(engine, VectorizedGaussianChainSDS)
         dist, _ = engine.step(engine.init(), 0.5)
         assert np.isfinite(dist.mean())
+
+    def test_graph_engine_construction_failure_propagates(self, monkeypatch):
+        """A failure building the graph engine is raised, not swallowed
+        into a silent scalar fallback (construction never runs the model,
+        so nothing the model does can fail there)."""
+        import repro.vectorized.engine as vengine
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("graph engine construction failed")
+
+        monkeypatch.setattr(vengine, "VectorizedGaussianChainSDS", broken)
+        with pytest.raises(RuntimeError, match="construction failed"):
+            infer(_fresh_chain_model(), n_particles=4, method="sds", backend="auto")
+
+    def test_bad_arguments_still_raise_inference_error(self):
+        with pytest.raises(InferenceError, match="unknown resampler"):
+            infer(
+                _fresh_chain_model(), n_particles=4, method="sds",
+                backend="auto", resampler="bogus",
+            )
 
     def test_vectorized_backend_unchanged_by_analysis(self):
         """backend="vectorized" keeps its registry-only contract: an
