@@ -1,22 +1,19 @@
-"""Registration/routing latency: analysis-first vs probe-only.
+"""Registration/routing latency of analysis-first routing.
 
-``infer(..., backend="auto")`` now consults the static analysis before
-the vectorized registries, with the empirical probe demoted to
-confirmation. This benchmark measures what that costs and what it
-saves:
+``infer(..., backend="auto")`` consults the static analysis before the
+vectorized registries. This benchmark measures what that costs:
 
-* **cold verdict** — one uncached static analysis per model vs one
-  ``probe_ds_structure`` run (the runtime probe executes the model's
-  scalar delayed-sampling semantics over the probe inputs *and* a
-  3-particle batched smoke run; the analysis only walks the step
-  function's AST).
+* **cold verdict** — one uncached static analysis per model (the
+  analysis only walks the step function's AST; it never runs the
+  model).
 * **warm routing** — the per-``infer()`` cost of ``backend="auto"``
   once the analysis cache is hot, vs ``backend="vectorized"`` (registry
   lookup only). Auto adds one cache hit + one metric increment per
   call; the bound asserts it stays within tens of microseconds.
 
 The measured numbers go to the "Static analysis" table in
-``EXPERIMENTS.md``.
+``EXPERIMENTS.md``, which also keeps the recorded comparison with the
+empirical probe the analysis replaced.
 """
 
 import time
@@ -25,19 +22,17 @@ from repro.analysis import analyze_model
 from repro.analysis.routing import analysis_for, clear_analysis_cache
 from repro.bench import KalmanModel, RobotModel
 from repro.bench.models import CoinModel, MixedFragmentModel, OutlierModel
-from repro.delayed.detect import probe_ds_structure
 from repro.inference import infer
 
 from conftest import emit
 
-#: (name, model factory, probe inputs) — the probe needs representative
-#: inputs; the analysis does not (that asymmetry is the point).
+#: (name, model factory)
 MODELS = [
-    ("kalman", KalmanModel, [0.5, -0.2, 1.1]),
-    ("coin", CoinModel, [True, False]),
-    ("outlier", OutlierModel, [0.5, 0.7]),
-    ("mixed_one", lambda: MixedFragmentModel(realize="one"), [(1, 2, 0, 3)] * 2),
-    ("robot", RobotModel, [(0.0, 0.0, 0.0), (0.1, None, 0.0)]),
+    ("kalman", KalmanModel),
+    ("coin", CoinModel),
+    ("outlier", OutlierModel),
+    ("mixed_one", lambda: MixedFragmentModel(realize="one")),
+    ("robot", RobotModel),
 ]
 
 #: ceiling on the warm `backend="auto"` routing premium per infer()
@@ -55,19 +50,16 @@ def _time_ms(fn, repeats):
     return best
 
 
-def test_cold_verdict_analysis_vs_probe():
-    """One uncached static verdict vs one empirical probe, per model."""
+def test_cold_verdict_latency():
+    """One uncached static verdict per model."""
     rows = []
-    for name, factory, inputs in MODELS:
-        analysis_ms = _time_ms(lambda: analyze_model(factory()), repeats=5)
-        probe_ms = _time_ms(lambda: probe_ds_structure(factory(), inputs), repeats=5)
-        rows.append((name, analysis_ms, probe_ms))
-        # same question, same answer, no execution
+    for name, factory in MODELS:
+        rows.append((name, _time_ms(lambda: analyze_model(factory()), repeats=5)))
         assert analyze_model(factory()).conclusive
     emit("cold verdict latency (ms, best of 5):")
-    emit(f"{'model':>12} {'analysis':>10} {'probe':>10}")
-    for name, a_ms, p_ms in rows:
-        emit(f"{name:>12} {a_ms:>10.2f} {p_ms:>10.2f}")
+    emit(f"{'model':>12} {'analysis':>10}")
+    for name, a_ms in rows:
+        emit(f"{name:>12} {a_ms:>10.2f}")
 
 
 def test_warm_auto_routing_premium():
@@ -90,10 +82,9 @@ def test_warm_auto_routing_premium():
 
 def test_cold_auto_registration_latency():
     """First-ever `backend="auto"` call per model configuration: the one
-    call that pays for the analysis (probe-only routing paid an
-    empirical probe at module import instead)."""
+    call that pays for the analysis."""
     rows = []
-    for name, factory, inputs in MODELS:
+    for name, factory in MODELS:
         clear_analysis_cache()
         cold_ms = _time_ms(
             lambda: infer(

@@ -16,18 +16,17 @@ hard way:
 * **Lint** — machine-readable diagnostics (``REP001``–``REP009``) via
   the :mod:`repro.analysis.lint` API and the ``replint`` CLI.
 
-Three frontends share one verdict type (:class:`ModelAnalysis`):
-:func:`analyze_model` interprets Python step functions abstractly,
-:func:`analyze_program` / :func:`analyze_node` walk compiled
-kernel-AST programs, and :func:`analyze_muf_term` gives muF terms a
-structural pass. :func:`analysis_for` adds caching and
-:func:`consult_for_backend` turns the verdict into a routing decision
-for ``infer(..., backend="auto")``.
+Two front ends feed one backend: :func:`analyze_model` interprets
+Python step functions abstractly, :func:`analyze_program` /
+:func:`analyze_node` walk compiled kernel-AST programs, and both hand
+each abstract instant to the shared verdict backend of
+:mod:`repro.analysis.verdict`, which returns a :class:`ModelAnalysis`.
+:func:`analysis_for` adds caching and :func:`consult_for_backend` turns
+the verdict into a routing decision for ``infer(..., backend="auto")``.
 """
 
 from repro.analysis.absint import analyze_model
 from repro.analysis.core_ast import (
-    analyze_muf_term,
     analyze_node,
     analyze_program,
     lint_program,
@@ -69,7 +68,6 @@ __all__ = [
     "analyze_model",
     "analyze_node",
     "analyze_program",
-    "analyze_muf_term",
     "lint_program",
     "lint_model",
     "lint_source",

@@ -1,81 +1,55 @@
-"""Ahead-of-time analysis of Python stream models (``ProbNode.step``).
+"""The Python front end: ahead-of-time analysis of ``ProbNode.step``.
 
-The runtime answers "which backend, and is memory bounded?" by
-*executing* a model against an instrumented graph
-(:func:`repro.delayed.detect.probe_ds_structure`). This module answers
-the same question **statically**: it parses the model's ``step``
-function with :mod:`ast` and abstractly interprets it, tracking which
-values are random variables, which are per-particle forced values, and
-which are stream inputs — never drawing a sample, never touching an
-RNG, never needing probe data.
-
-The interpretation runs the abstract step repeatedly, replacing random
-variables that flow into the returned state with *carried* markers,
-until the state's abstract structure reaches a fixpoint (the
-steady-state instant). From the steady-state step graph it derives:
-
-* **bounded memory** — an m-consumed-style check: every sampled
-  variable must be *consumed* (observed through a conjugate child,
-  or realized by ``ctx.value`` / a predicted dependency-breaking
-  realization) within a bounded number of instants, following the
-  dataflow of the stream state. A fresh variable that cycles through
-  state slots without ever being consumed grows the delayed-sampling
-  chain by one node per instant (``REP001``); a never-consumed
-  persistent variable that anchors a growing chain is the
-  ``hmm_init`` pathology of Section 5.3 (also ``REP001``).
-* **batchability** — all families inside
-  :data:`~repro.delayed.detect.BATCHABLE_FAMILIES`, every edge
-  classified against the batched conjugacy kernels (affine-Gaussian,
-  projection, mv-affine, Beta-Bernoulli, Gamma-Poisson,
-  Dirichlet-Categorical), and the *lockstep* condition: no Python
-  control flow branching on a per-particle value (``REP002``) or on a
-  symbolic value (``REP009``). Non-conjugate edges do not defeat
-  batchability — they are reported as predicted per-slot
-  realize-and-continue sites (``REP003``).
+This module parses a model's ``step`` function with :mod:`ast` and
+abstractly interprets it over the values of
+:mod:`repro.analysis.verdict`, tracking which values are random
+variables, which are per-particle forced values, and which are stream
+inputs — never drawing a sample, never touching an RNG, never needing
+probe data. The slots of the stream state are tuple paths into the
+returned state; the fixpoint over instants and every verdict come from
+the shared :class:`~repro.analysis.verdict.Analyzer`.
 
 Models whose code uses constructs the interpreter does not model
 (unbounded loops, unknown calls receiving random variables, missing
-source) yield ``conclusive=False`` — the caller falls back to the
-empirical probe.
+source) yield ``conclusive=False``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import inspect
 import textwrap
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.report import (
-    DANGLING_RV,
-    LOCKSTEP_BRANCH,
-    NONCONJUGATE_EDGE,
-    NONBATCHABLE_FAMILY,
-    SYMBOLIC_BRANCH,
-    UNBOUNDED_MEMORY,
-    UNUSED_OBSERVE,
-    Diagnostic,
-    EdgeInfo,
-    ModelAnalysis,
-    RVNode,
-    Site,
-    StepGraph,
-    make_diagnostic,
+from repro.analysis.report import ModelAnalysis, Site
+from repro.analysis.verdict import (
+    DIST_FAMILIES,
+    AbsConst,
+    AbsDist,
+    AbsInput,
+    AbsRV,
+    AbsTuple,
+    AbsVal,
+    Affine,
+    Analyzer,
+    Inconclusive,
+    affine_of,
+    analyze_safely,
+    arith,
+    concrete,
+    derived,
+    is_concrete,
+    join,
+    rvs,
 )
 
-__all__ = ["analyze_model", "Inconclusive"]
+__all__ = ["analyze_model"]
 
-#: iteration caps: abstract instants until the state shape must
-#: stabilize, and unrollable loop length.
-MAX_ABSTRACT_STEPS = 8
+#: longest loop the interpreter unrolls
 MAX_UNROLL = 64
-
-
-class Inconclusive(Exception):
-    """The analysis cannot see through the model; fall back to the probe."""
 
 
 class _Return(Exception):
@@ -83,137 +57,7 @@ class _Return(Exception):
         self.value = value
 
 
-# ----------------------------------------------------------------------
-# abstract values
-# ----------------------------------------------------------------------
-
-class AbsVal:
-    """Base class of abstract values."""
-
-
-@dataclass(frozen=True)
-class AbsConst(AbsVal):
-    """A value the analysis knows concretely (model params, literals)."""
-
-    value: Any
-
-
-@dataclass(frozen=True)
-class AbsInput(AbsVal):
-    """The step input or a projection of it — shared by all particles."""
-
-    path: str = "input"
-
-
-@dataclass(frozen=True)
-class Affine(AbsVal):
-    """Affine dependence on exactly one random variable.
-
-    ``kind`` is ``"scalar"`` (a + b*x), ``"projection"`` (component
-    read of a multivariate variable, possibly rescaled), or ``"mv"``
-    (matrix-affine transform of a multivariate variable).
-    """
-
-    uid: int
-    kind: str
-
-
-@dataclass(frozen=True)
-class AbsRV(AbsVal):
-    """A reference to a random-variable node of the step graph."""
-
-    uid: int
-
-
-@dataclass(frozen=True)
-class AbsDerived(AbsVal):
-    """An expression over random variables / forced values / inputs.
-
-    ``rvs`` are the symbolic random variables the value depends on;
-    ``forced`` marks per-particle concrete values (results of
-    ``ctx.value``); ``inputy`` marks dependence on the step input.
-    ``affine`` is set when the value is affine in exactly one variable.
-    """
-
-    rvs: frozenset = frozenset()
-    affine: Optional[Affine] = None
-    forced: bool = False
-    inputy: bool = False
-
-
-@dataclass(frozen=True)
-class AbsTuple(AbsVal):
-    elems: Tuple[AbsVal, ...]
-
-
-@dataclass(frozen=True)
-class AbsDist(AbsVal):
-    """An unevaluated distribution term: family plus abstract params."""
-
-    family: str
-    params: Tuple[AbsVal, ...]
-
-
 _CTX = object()  # sentinel bound to the ProbCtx parameter
-
-
-def _rvs(val: AbsVal) -> frozenset:
-    if isinstance(val, AbsRV):
-        return frozenset((val.uid,))
-    if isinstance(val, AbsDerived):
-        return val.rvs
-    if isinstance(val, AbsTuple):
-        out = frozenset()
-        for e in val.elems:
-            out |= _rvs(e)
-        return out
-    if isinstance(val, AbsDist):
-        out = frozenset()
-        for e in val.params:
-            out |= _rvs(e)
-        return out
-    return frozenset()
-
-
-def _flag(val: AbsVal, name: str) -> bool:
-    if isinstance(val, AbsDerived):
-        return getattr(val, name)
-    if isinstance(val, AbsTuple):
-        return any(_flag(e, name) for e in val.elems)
-    if isinstance(val, AbsInput):
-        return name == "inputy"
-    return False
-
-
-def _merge_flags(*vals: AbsVal) -> Tuple[frozenset, bool, bool]:
-    rvs = frozenset()
-    forced = inputy = False
-    for v in vals:
-        rvs |= _rvs(v)
-        forced = forced or _flag(v, "forced")
-        inputy = inputy or _flag(v, "inputy")
-    return rvs, forced, inputy
-
-
-def _derived(*vals: AbsVal, affine: Optional[Affine] = None) -> AbsDerived:
-    rvs, forced, inputy = _merge_flags(*vals)
-    return AbsDerived(rvs=rvs, affine=affine, forced=forced, inputy=inputy)
-
-
-def _is_concrete(val: AbsVal) -> bool:
-    if isinstance(val, AbsConst):
-        return True
-    if isinstance(val, AbsTuple):
-        return all(_is_concrete(e) for e in val.elems)
-    return False
-
-
-def _concrete(val: AbsVal) -> Any:
-    if isinstance(val, AbsConst):
-        return val.value
-    if isinstance(val, AbsTuple):
-        return tuple(_concrete(e) for e in val.elems)
-    raise Inconclusive("expected a concrete value")
 
 
 def _to_abstract(value: Any) -> AbsVal:
@@ -222,51 +66,9 @@ def _to_abstract(value: Any) -> AbsVal:
     return AbsConst(value)
 
 
-def _affine_of(val: AbsVal) -> Optional[Affine]:
-    if isinstance(val, AbsRV):
-        return Affine(val.uid, "scalar")
-    if isinstance(val, AbsDerived):
-        return val.affine
-    return None
-
-
 # ----------------------------------------------------------------------
-# distribution constructors and call whitelists
+# call whitelists and operators
 # ----------------------------------------------------------------------
-
-def _family_constructors() -> Dict[int, str]:
-    from repro.lang import (
-        bernoulli,
-        beta,
-        binomial,
-        categorical,
-        delta,
-        dirichlet,
-        exponential,
-        gamma,
-        gaussian,
-        inverse_gamma,
-        mv_gaussian,
-        poisson,
-        uniform,
-    )
-
-    return {
-        id(gaussian): "gaussian",
-        id(mv_gaussian): "mv_gaussian",
-        id(beta): "beta",
-        id(bernoulli): "bernoulli",
-        id(binomial): "binomial",
-        id(gamma): "gamma",
-        id(poisson): "poisson",
-        id(dirichlet): "dirichlet",
-        id(categorical): "categorical",
-        id(exponential): "exponential",
-        id(uniform): "uniform",
-        id(inverse_gamma): "inverse_gamma",
-        id(delta): "delta",
-    }
-
 
 _COERCIONS = (float, int, bool, abs)
 
@@ -276,6 +78,33 @@ _SAFE_CONCRETE = (
     round, sorted, zip, enumerate, str,
 )
 
+#: Python operators and their lifted counterparts in repro.core.ops
+_ARITH_NAMES = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
+
+_BINOPS = {
+    ast.Add: lambda x, y: x + y,
+    ast.Sub: lambda x, y: x - y,
+    ast.Mult: lambda x, y: x * y,
+    ast.Div: lambda x, y: x / y,
+    ast.FloorDiv: lambda x, y: x // y,
+    ast.Mod: lambda x, y: x % y,
+    ast.Pow: lambda x, y: x ** y,
+    ast.MatMult: lambda x, y: x @ y,
+}
+
+_COMPARISONS = {
+    ast.Eq: lambda x, y: x == y,
+    ast.NotEq: lambda x, y: x != y,
+    ast.Lt: lambda x, y: x < y,
+    ast.LtE: lambda x, y: x <= y,
+    ast.Gt: lambda x, y: x > y,
+    ast.GtE: lambda x, y: x >= y,
+    ast.Is: lambda x, y: x is y or (x is None and y is None) or x == y is True,
+    ast.IsNot: lambda x, y: not (x is y or (x is None and y is None)),
+    ast.In: lambda x, y: x in y,
+    ast.NotIn: lambda x, y: x not in y,
+}
+
 
 def _is_numpy_callable(fn: Any) -> bool:
     mod = getattr(fn, "__module__", "") or ""
@@ -283,235 +112,133 @@ def _is_numpy_callable(fn: Any) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the step graph under construction
+# state slots
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Node:
-    uid: int
-    name: str
-    family: str
-    kind: str  # sample | observe | carried
-    root: bool
-    site: Site
-    parents: List[int] = field(default_factory=list)
-    children: List[int] = field(default_factory=list)
-    observed: bool = False
-    realized: bool = False
-    slot: Optional[Tuple[int, ...]] = None  # for carried markers
-    default_name: bool = True
+#: state slots: a tuple path into the state's nested tuples -> its value
+_Slots = Dict[Tuple[int, ...], AbsVal]
 
 
-@dataclass
-class _StepRecord:
-    """Everything one abstract instant produced."""
-
-    nodes: Dict[int, _Node] = field(default_factory=dict)
-    edges: List[EdgeInfo] = field(default_factory=list)
-    roots: int = 0
-    forced: int = 0
-    families: Set[str] = field(default_factory=set)
-    realize_sites: List[EdgeInfo] = field(default_factory=list)
-
-    def consumed(self, uid: int) -> bool:
-        """Observed/realized, directly or through a same-step descendant."""
-        seen: Set[int] = set()
-        stack = [uid]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur not in self.nodes:
-                continue
-            seen.add(cur)
-            node = self.nodes[cur]
-            if node.observed or node.realized:
-                return True
-            stack.extend(node.children)
-        return False
-
-    def carried_ancestors(self, uid: int) -> Set[Tuple[int, ...]]:
-        """Slots of the carried markers among a node's in-step ancestors."""
-        out: Set[Tuple[int, ...]] = set()
-        seen: Set[int] = set()
-        stack = [uid]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur not in self.nodes:
-                continue
-            seen.add(cur)
-            node = self.nodes[cur]
-            if node.kind == "carried" and cur != uid:
-                out.add(node.slot)
-                continue
-            stack.extend(node.parents)
+def _flatten_state(val: AbsVal, path: Tuple[int, ...] = ()) -> _Slots:
+    if isinstance(val, AbsTuple):
+        out: _Slots = {}
+        for i, e in enumerate(val.elems):
+            out.update(_flatten_state(e, path + (i,)))
         return out
+    return {path: val}
 
 
-def classify_dist_edge(record: _StepRecord, dist: AbsDist) -> Tuple[str, bool]:
-    """Classify a dist's dependence on its random-variable params.
-
-    Returns ``(kind, conjugate)`` where ``kind`` is one of ``affine``,
-    ``projection``, ``mv_affine``, ``beta_bernoulli``, ``gamma_poisson``,
-    ``dirichlet_categorical``, or ``nonconjugate``. Shared by the Python
-    frontend here and the kernel-AST frontend
-    (:mod:`repro.analysis.core_ast`).
-    """
-    params = dist.params
-    family = dist.family
-    all_rvs = frozenset().union(*[_rvs(p) for p in params]) if params else frozenset()
-    if len(all_rvs) > 1:
-        return "nonconjugate", False
-    (parent_uid,) = tuple(all_rvs)
-    parent = record.nodes.get(parent_uid)
-    pfam = parent.family if parent else ""
-
-    def rv_free(val: AbsVal) -> bool:
-        return not _rvs(val)
-
-    if family == "gaussian" and len(params) >= 2:
-        mean, var = params[0], params[1]
-        if not rv_free(var):
-            return "nonconjugate", False
-        aff = _affine_of(mean)
-        if aff is None or aff.uid != parent_uid:
-            return "nonconjugate", False
-        if pfam == "gaussian" and aff.kind == "scalar":
-            return "affine", True
-        if pfam == "mv_gaussian" and aff.kind == "projection":
-            return "projection", True
-        return "nonconjugate", False
-    if family == "mv_gaussian" and len(params) >= 2:
-        mean, cov = params[0], params[1]
-        if not rv_free(cov):
-            return "nonconjugate", False
-        aff = _affine_of(mean)
-        if (
-            aff is not None
-            and aff.uid == parent_uid
-            and pfam == "mv_gaussian"
-            and aff.kind in ("scalar", "mv")
-        ):
-            return "mv_affine", True
-        return "nonconjugate", False
-    identity = len(params) >= 1 and isinstance(params[0], AbsRV)
-    if family == "bernoulli" and identity and pfam == "beta":
-        return "beta_bernoulli", True
-    if family == "poisson" and identity and pfam == "gamma":
-        return "gamma_poisson", True
-    if family == "categorical" and identity and pfam == "dirichlet":
-        return "dirichlet_categorical", True
-    return "nonconjugate", False
-
-
-def make_rv(
-    record: _StepRecord,
-    uid: int,
-    family: str,
-    params: Sequence[AbsVal],
-    site: Site,
-    observe: bool,
-    name: str = "",
-) -> _Node:
-    """Create a sample/observe node in ``record`` with parent edges."""
-    parents = sorted(
-        frozenset().union(*[_rvs(p) for p in params]) if params else frozenset()
-    )
-    kind = "observe" if observe else "sample"
-    root = not parents and not observe
-    rv = _Node(
-        uid=uid,
-        name=name or f"{family}@{site.line}",
-        family=family,
-        kind=kind,
-        root=root,
-        site=site,
-        default_name=not name,
-    )
-    record.nodes[uid] = rv
-    record.families.add(family)
-    if root:
-        record.roots += 1
-    for p in parents:
-        rv.parents.append(p)
-        if p in record.nodes:
-            record.nodes[p].children.append(uid)
-    return rv
+def _rebuild_state(val: AbsVal, slots: _Slots, path: Tuple[int, ...] = ()) -> AbsVal:
+    if isinstance(val, AbsTuple):
+        return AbsTuple(
+            tuple(
+                _rebuild_state(e, slots, path + (i,))
+                for i, e in enumerate(val.elems)
+            )
+        )
+    return slots.get(path, val)
 
 
 # ----------------------------------------------------------------------
 # the interpreter
 # ----------------------------------------------------------------------
 
-class _StepInterpreter(ast.NodeVisitor):
-    """Abstractly execute one ``step`` call."""
+class _ModelAnalyzer(Analyzer, ast.NodeVisitor):
+    """Abstractly execute a model's ``step``, one instant at a time."""
 
-    def __init__(
-        self,
-        analyzer: "_ModelAnalyzer",
-        env: Dict[str, AbsVal],
-        record: _StepRecord,
-    ):
-        self.analyzer = analyzer
-        self.env = env
-        self.record = record
-        #: nesting depth of branches whose condition is per-particle —
-        #: observes below them are particle-selective, not posterior-neutral.
-        self.particle_branch_depth = 0
-        self.input_branch_depth = 0
+    def __init__(self, model: Any):
+        self.model = model
+        import repro.lang
+        from repro.symbolic import app as sym_app
 
-    # -- plumbing ------------------------------------------------------
+        self.families_by_id = {
+            id(getattr(repro.lang, family)): family for family in DIST_FAMILIES
+        }
+        self.sym_app = sym_app
+        self._load_step()
+        name = type(model).__name__
+        super().__init__(name, Site(name=name, file=self.file, line=self.first_line))
+
+    # -- source loading ------------------------------------------------
+
+    def _load_step(self) -> None:
+        model = self.model
+        from repro.runtime.node import FunProbNode
+
+        if isinstance(model, FunProbNode):
+            func = model._step_fn
+            self.self_value: Optional[AbsVal] = None
+        else:
+            func = type(model).step
+            self.self_value = AbsConst(model)
+        func = inspect.unwrap(func)
+        if hasattr(func, "__func__"):
+            func = func.__func__
+        try:
+            source = textwrap.dedent(inspect.getsource(func))
+            self.file = inspect.getsourcefile(func) or ""
+            _, self.first_line = inspect.getsourcelines(func)
+        except (OSError, TypeError) as exc:
+            raise Inconclusive(f"no source available for step: {exc}")
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            raise Inconclusive(f"step source does not parse: {exc}")
+        if not tree.body or not isinstance(tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
+            raise Inconclusive("step source is not a function definition")
+        self.func_def = tree.body[0]
+        self.globals = dict(getattr(func, "__globals__", {}))
+        try:
+            closure = inspect.getclosurevars(func)
+            self.globals.update(closure.nonlocals)
+        except (TypeError, ValueError):
+            pass
+        params = [a.arg for a in self.func_def.args.args]
+        if self.self_value is not None:
+            if not params or params[0] not in ("self",):
+                raise Inconclusive("step does not take self")
+            params = params[1:]
+        if len(params) != 3:
+            raise Inconclusive(
+                f"step signature has {len(params)} parameters, expected "
+                "(state, input, ctx)"
+            )
+        self.state_param, self.input_param, self.ctx_param = params
 
     def site(self, node: ast.AST) -> Site:
-        return self.analyzer.site(node)
-
-    def diag(self, code: str, message: str, node: ast.AST, severity=None) -> None:
-        self.analyzer.add_diag(make_diagnostic(code, message, self.site(node), severity))
-
-    def fresh_rv(
-        self, family: str, params: Sequence[AbsVal], node: ast.AST, observe: bool
-    ) -> _Node:
-        return make_rv(
-            self.record,
-            self.analyzer.next_uid(),
-            family,
-            params,
-            self.site(node),
-            observe,
+        line = getattr(node, "lineno", 0)
+        return Site(
+            name=self.name,
+            file=self.file,
+            line=self.first_line + line - 1 if line else 0,
         )
 
-    def classify_and_link(
-        self, rv: _Node, dist: AbsDist, node: ast.AST
-    ) -> None:
-        """Classify the conjugacy of each parent edge; realize on failure."""
-        if not rv.parents:
-            return
-        kind, conjugate = classify_dist_edge(self.record, dist)
-        parent_names = ",".join(
-            self.record.nodes[p].name if p in self.record.nodes else str(p)
-            for p in rv.parents
-        )
-        edge = EdgeInfo(
-            parent=parent_names,
-            child=rv.name,
-            kind=kind,
-            conjugate=conjugate,
-            site=self.site(node),
-        )
-        self.record.edges.append(edge)
-        if not conjugate:
-            # Predicted per-slot realize-and-continue: the delayed
-            # sampler realizes the parent(s) before this site runs.
-            self.record.realize_sites.append(edge)
-            for p in rv.parents:
-                if p in self.record.nodes:
-                    self.record.nodes[p].realized = True
-            self.record.forced += len(rv.parents)
-            cost = "one forced realization per parent per instant"
-            self.diag(
-                NONCONJUGATE_EDGE,
-                f"non-conjugate dependence of {rv.family}({parent_names}) — "
-                f"the delayed sampler realizes the parent here ({cost})",
-                node,
-            )
+    # -- the Analyzer hooks --------------------------------------------
+
+    def initial_state(self) -> _Slots:
+        self.shape = _to_abstract(self.model.init())
+        return _flatten_state(self.shape)
+
+    def instant(self, state: _Slots) -> _Slots:
+        self.env: Dict[str, AbsVal] = {
+            self.state_param: _rebuild_state(self.shape, state),
+            self.input_param: AbsInput(),
+            self.ctx_param: _CTX,  # type: ignore[dict-item]
+        }
+        if self.self_value is not None:
+            self.env["self"] = self.self_value
+        try:
+            self.run(self.func_def.body)
+            out: AbsVal = AbsConst(None)
+        except _Return as ret:
+            out = ret.value
+        if not isinstance(out, AbsTuple) or len(out.elems) != 2:
+            raise Inconclusive("step does not return an (output, state) pair")
+        self.shape = out.elems[1]
+        return _flatten_state(self.shape)
+
+    def slot_name(self, path: Tuple[int, ...]) -> str:
+        return f"state{list(path)}" if path else "state"
 
     # -- statements ----------------------------------------------------
 
@@ -624,15 +351,42 @@ class _StepInterpreter(ast.NodeVisitor):
         raise _Return(value)
 
     def visit_If(self, node):  # noqa: N802
-        self.branch(node.test, node.body, node.orelse, node)
+        cond = self.eval(node.test)
+        taken = self.branch_verdict(cond, self.site(node))
+        if taken is not None:
+            self.run(node.body if taken else node.orelse)
+            return
+        env_before = self.env
+
+        def arm(body: Sequence[ast.stmt]) -> Tuple[Optional[_Return], Dict[str, AbsVal]]:
+            self.env = dict(env_before)
+            try:
+                self.run(body)
+            except _Return as ret:
+                return ret, self.env
+            return None, self.env
+
+        (then_ret, env_then), (else_ret, env_else) = self.both_arms(
+            cond, lambda: arm(node.body), lambda: arm(node.orelse)
+        )
+        if then_ret is not None and else_ret is not None:
+            raise _Return(join(then_ret.value, else_ret.value))
+        if then_ret is not None or else_ret is not None:
+            raise Inconclusive(f"return in only one branch at line {node.lineno}")
+        self.env = {
+            key: join(env_then[key], env_else[key])
+            if key in env_then and key in env_else
+            else env_then.get(key, env_else.get(key))
+            for key in env_then.keys() | env_else.keys()
+        }
 
     def visit_For(self, node):  # noqa: N802
         it = self.eval(node.iter)
-        if not _is_concrete(it):
+        if not is_concrete(it):
             raise Inconclusive(
                 f"loop over a non-concrete iterable at line {node.lineno}"
             )
-        items = list(_concrete(it)) if not isinstance(_concrete(it), range) else list(_concrete(it))
+        items = list(concrete(it))
         if len(items) > MAX_UNROLL:
             raise Inconclusive(
                 f"loop of {len(items)} iterations exceeds the unroll cap "
@@ -646,99 +400,6 @@ class _StepInterpreter(ast.NodeVisitor):
 
     def visit_While(self, node):  # noqa: N802
         raise Inconclusive(f"while-loop at line {node.lineno}")
-
-    def branch(
-        self,
-        test: ast.expr,
-        body: Sequence[ast.stmt],
-        orelse: Sequence[ast.stmt],
-        node: ast.AST,
-    ) -> None:
-        cond = self.eval(test)
-        taken = self._branch_condition(cond, node)
-        if taken is not None:
-            self.run(body if taken else orelse)
-            return
-        per_particle = bool(_rvs(cond)) or _flag(cond, "forced")
-        roots_before = self.record.roots
-        env_before = dict(self.env)
-        if per_particle:
-            self.particle_branch_depth += 1
-        else:
-            self.input_branch_depth += 1
-        try:
-            then_ret: Optional[_Return] = None
-            else_ret: Optional[_Return] = None
-            try:
-                self.run(body)
-            except _Return as r:
-                then_ret = r
-            env_then = self.env
-            then_roots = self.record.roots
-            self.env = dict(env_before)
-            self.record.roots = roots_before
-            try:
-                self.run(orelse)
-            except _Return as r:
-                else_ret = r
-            env_else = self.env
-            else_roots = self.record.roots
-        finally:
-            if per_particle:
-                self.particle_branch_depth -= 1
-            else:
-                self.input_branch_depth -= 1
-        self.record.roots = roots_before + max(
-            then_roots - roots_before, else_roots - roots_before
-        )
-        if then_ret is not None and else_ret is not None:
-            raise _Return(self.merge_values(then_ret.value, else_ret.value))
-        if then_ret is not None or else_ret is not None:
-            raise Inconclusive(
-                f"return in only one branch at line {getattr(node, 'lineno', '?')}"
-            )
-        self.env = self.merge_envs(env_then, env_else)
-
-    def _branch_condition(self, cond: AbsVal, node: ast.AST) -> Optional[bool]:
-        """Resolve a branch condition; None means 'analyze both arms'."""
-        if _is_concrete(cond):
-            return bool(_concrete(cond))
-        if _rvs(cond):
-            self.diag(
-                SYMBOLIC_BRANCH,
-                "control flow branches on a symbolic value — every delayed "
-                "sampler raises here; force it with ctx.value() first",
-                node,
-            )
-            self.analyzer.batchable_ok = False
-            return None
-        if _flag(cond, "forced"):
-            self.diag(
-                LOCKSTEP_BRANCH,
-                "control flow branches on a per-particle forced value — "
-                "the batched backend cannot run this model in lockstep "
-                "(scalar engines still can)",
-                node,
-            )
-            self.analyzer.batchable_ok = False
-            return None
-        return None  # input-dependent: lockstep-safe, analyze both arms
-
-    def merge_values(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a == b:
-            return a
-        if isinstance(a, AbsTuple) and isinstance(b, AbsTuple) and len(a.elems) == len(b.elems):
-            return AbsTuple(tuple(self.merge_values(x, y) for x, y in zip(a.elems, b.elems)))
-        return _derived(a, b)
-
-    def merge_envs(self, a: Dict[str, AbsVal], b: Dict[str, AbsVal]) -> Dict[str, AbsVal]:
-        out: Dict[str, AbsVal] = {}
-        for key in set(a) | set(b):
-            if key in a and key in b:
-                out[key] = self.merge_values(a[key], b[key])
-            else:
-                out[key] = a.get(key, b.get(key))
-        return out
 
     # -- expressions ---------------------------------------------------
 
@@ -757,17 +418,10 @@ class _StepInterpreter(ast.NodeVisitor):
     def eval_Name(self, node):  # noqa: N802
         if node.id in self.env:
             return self.env[node.id]
-        if node.id in self.analyzer.globals:
-            return AbsConst(self.analyzer.globals[node.id])
-        builtins = getattr(self.analyzer.globals.get("__builtins__", None), "__dict__", None)
-        if builtins is None:
-            builtins = self.analyzer.globals.get("__builtins__", {})
-        if isinstance(builtins, dict) and node.id in builtins:
-            return AbsConst(builtins[node.id])
-        import builtins as _b
-
-        if hasattr(_b, node.id):
-            return AbsConst(getattr(_b, node.id))
+        if node.id in self.globals:
+            return AbsConst(self.globals[node.id])
+        if hasattr(builtins, node.id):
+            return AbsConst(getattr(builtins, node.id))
         raise Inconclusive(f"unbound name {node.id!r} at line {node.lineno}")
 
     def eval_Tuple(self, node):  # noqa: N802
@@ -775,17 +429,17 @@ class _StepInterpreter(ast.NodeVisitor):
 
     def eval_List(self, node):  # noqa: N802
         vals = [self.eval(e) for e in node.elts]
-        if all(_is_concrete(v) for v in vals):
-            return AbsConst([_concrete(v) for v in vals])
+        if all(is_concrete(v) for v in vals):
+            return AbsConst([concrete(v) for v in vals])
         return AbsTuple(tuple(vals))
 
     def eval_Dict(self, node):  # noqa: N802
         keys = [self.eval(k) if k is not None else None for k in node.keys]
         vals = [self.eval(v) for v in node.values]
-        if all(k is not None and _is_concrete(k) for k in keys) and all(
-            _is_concrete(v) for v in vals
+        if all(k is not None and is_concrete(k) for k in keys) and all(
+            is_concrete(v) for v in vals
         ):
-            return AbsConst({_concrete(k): _concrete(v) for k, v in zip(keys, vals)})
+            return AbsConst({concrete(k): concrete(v) for k, v in zip(keys, vals)})
         raise Inconclusive(f"non-concrete dict literal at line {node.lineno}")
 
     def eval_Attribute(self, node):  # noqa: N802
@@ -799,124 +453,77 @@ class _StepInterpreter(ast.NodeVisitor):
                 raise Inconclusive(
                     f"unknown attribute {node.attr!r} at line {node.lineno}"
                 )
-        return _derived(base)
+        return derived(base)
 
     def eval_Subscript(self, node):  # noqa: N802
         base = self.eval(node.value)
         index = self.eval(node.slice)
-        if isinstance(base, AbsConst) and _is_concrete(index):
+        if isinstance(base, AbsConst) and is_concrete(index):
             try:
-                return _to_abstract(base.value[_concrete(index)])
+                return _to_abstract(base.value[concrete(index)])
             except Exception:
                 raise Inconclusive(f"subscript failed at line {node.lineno}")
-        if isinstance(base, AbsTuple) and _is_concrete(index):
-            idx = _concrete(index)
+        if isinstance(base, AbsTuple) and is_concrete(index):
+            idx = concrete(index)
             if isinstance(idx, int) and -len(base.elems) <= idx < len(base.elems):
                 return base.elems[idx]
             raise Inconclusive(f"tuple index out of range at line {node.lineno}")
         if isinstance(base, AbsRV):
             rv = self.record.nodes.get(base.uid)
             if rv is not None and rv.family == "mv_gaussian":
-                return _derived(base, affine=Affine(base.uid, "projection"))
-            return _derived(base)
+                return derived(base, affine=Affine(base.uid, "projection"))
+            return derived(base)
         if isinstance(base, AbsInput):
             return AbsInput(path=f"{base.path}[...]")
-        return _derived(base, index)
+        return derived(base, index)
 
     def eval_UnaryOp(self, node):  # noqa: N802
         val = self.eval(node.operand)
-        if _is_concrete(val):
+        if is_concrete(val):
             op = {
                 ast.USub: lambda v: -v,
                 ast.UAdd: lambda v: +v,
                 ast.Not: lambda v: not v,
                 ast.Invert: lambda v: ~v,
             }[type(node.op)]
-            return AbsConst(op(_concrete(val)))
+            return AbsConst(op(concrete(val)))
         if isinstance(node.op, (ast.USub, ast.UAdd)):
-            aff = _affine_of(val)
-            if aff is not None:
-                return _derived(val, affine=replace(aff, kind=aff.kind if aff.kind != "scalar" else "scalar"))
-        return _derived(val)
+            return derived(val, affine=affine_of(val))
+        return derived(val)
 
     def eval_BinOp(self, node):  # noqa: N802
         return self.binop(node.op, self.eval(node.left), self.eval(node.right), node)
 
     def binop(self, op: ast.operator, a: AbsVal, b: AbsVal, node: ast.AST) -> AbsVal:
-        if _is_concrete(a) and _is_concrete(b):
-            fn = {
-                ast.Add: lambda x, y: x + y,
-                ast.Sub: lambda x, y: x - y,
-                ast.Mult: lambda x, y: x * y,
-                ast.Div: lambda x, y: x / y,
-                ast.FloorDiv: lambda x, y: x // y,
-                ast.Mod: lambda x, y: x % y,
-                ast.Pow: lambda x, y: x ** y,
-                ast.MatMult: lambda x, y: x @ y,
-            }.get(type(op))
+        if is_concrete(a) and is_concrete(b):
+            fn = _BINOPS.get(type(op))
             if fn is None:
                 raise Inconclusive(f"operator {type(op).__name__} at line {getattr(node, 'lineno', '?')}")
             try:
-                return AbsConst(fn(_concrete(a), _concrete(b)))
+                return AbsConst(fn(concrete(a), concrete(b)))
             except Exception:
                 raise Inconclusive(
                     f"constant arithmetic failed at line {getattr(node, 'lineno', '?')}"
                 )
-        a_rvs, b_rvs = _rvs(a), _rvs(b)
-        affine = None
-        if isinstance(op, (ast.Add, ast.Sub)):
-            if a_rvs and not b_rvs:
-                aff = _affine_of(a)
-                affine = replace(aff, kind=aff.kind) if aff else None
-            elif b_rvs and not a_rvs:
-                aff = _affine_of(b)
-                affine = replace(aff, kind=aff.kind) if aff else None
-        elif isinstance(op, (ast.Mult, ast.Div)):
-            if a_rvs and not b_rvs and not (isinstance(op, ast.Div) and False):
-                aff = _affine_of(a)
-            elif b_rvs and not a_rvs and not isinstance(op, ast.Div):
-                aff = _affine_of(b)
-            else:
-                aff = None
-            if aff is not None:
-                # scaling defeats the identity requirement but keeps
-                # affine-ness for gaussian means / projections.
-                affine = Affine(aff.uid, aff.kind) if aff.kind in ("scalar", "projection", "mv") else None
-        return _derived(a, b, affine=affine)
+        return arith(_ARITH_NAMES.get(type(op), ""), (a, b), self.record)
 
     def eval_BoolOp(self, node):  # noqa: N802
         vals = [self.eval(v) for v in node.values]
-        if all(_is_concrete(v) for v in vals):
-            acc = [_concrete(v) for v in vals]
-            if isinstance(node.op, ast.And):
-                out = all(acc)
-            else:
-                out = any(acc)
-            return AbsConst(out)
-        return _derived(*vals)
+        if all(is_concrete(v) for v in vals):
+            acc = [concrete(v) for v in vals]
+            return AbsConst(all(acc) if isinstance(node.op, ast.And) else any(acc))
+        return derived(*vals)
 
     def eval_Compare(self, node):  # noqa: N802
         left = self.eval(node.left)
         rights = [self.eval(c) for c in node.comparators]
         vals = [left] + rights
-        if all(_is_concrete(v) for v in vals):
+        if all(is_concrete(v) for v in vals):
             result = True
-            cur = _concrete(left)
+            cur = concrete(left)
             for op, r in zip(node.ops, rights):
-                rv = _concrete(r)
-                fn = {
-                    ast.Eq: lambda x, y: x == y,
-                    ast.NotEq: lambda x, y: x != y,
-                    ast.Lt: lambda x, y: x < y,
-                    ast.LtE: lambda x, y: x <= y,
-                    ast.Gt: lambda x, y: x > y,
-                    ast.GtE: lambda x, y: x >= y,
-                    ast.Is: lambda x, y: x is y or (x is None and y is None) or x == y is True,
-                    ast.IsNot: lambda x, y: not (x is y or (x is None and y is None)),
-                    ast.In: lambda x, y: x in y,
-                    ast.NotIn: lambda x, y: x not in y,
-                }[type(op)]
-                result = result and bool(fn(cur, rv))
+                rv = concrete(r)
+                result = result and bool(_COMPARISONS[type(op)](cur, rv))
                 cur = rv
             return AbsConst(result)
         # `x is None` on values that can never be None resolves concretely:
@@ -926,21 +533,20 @@ class _StepInterpreter(ast.NodeVisitor):
             and isinstance(node.ops[0], (ast.Is, ast.IsNot))
             and isinstance(rights[0], AbsConst)
             and rights[0].value is None
+            and isinstance(left, (AbsRV, AbsTuple, AbsDist))
         ):
-            if isinstance(left, (AbsRV, AbsTuple, AbsDist)):
-                is_none = False
-                return AbsConst(is_none if isinstance(node.ops[0], ast.Is) else not is_none)
-        return _derived(*vals)
+            return AbsConst(isinstance(node.ops[0], ast.IsNot))
+        return derived(*vals)
 
     def eval_IfExp(self, node):  # noqa: N802
         cond = self.eval(node.test)
-        taken = self._branch_condition(cond, node)
+        taken = self.branch_verdict(cond, self.site(node))
         if taken is not None:
             return self.eval(node.body if taken else node.orelse)
-        return self.merge_values(self.eval(node.body), self.eval(node.orelse))
+        return join(self.eval(node.body), self.eval(node.orelse))
 
     def eval_JoinedStr(self, node):  # noqa: N802
-        return _derived()
+        return derived()
 
     def eval_Call(self, node):  # noqa: N802
         if node.keywords and any(k.arg is None for k in node.keywords):
@@ -961,19 +567,19 @@ class _StepInterpreter(ast.NodeVisitor):
         if not isinstance(func, AbsConst):
             raise Inconclusive(f"call of a non-concrete function at line {node.lineno}")
         fn = func.value
-        family = self.analyzer.families_by_id.get(id(fn))
+        family = self.families_by_id.get(id(fn))
         if family is not None:
             return AbsDist(family, tuple(args) + tuple(kwargs.values()))
-        if fn is self.analyzer.sym_app:
+        if fn is self.sym_app:
             return self.sym_app_call(args, node)
-        all_concrete = all(_is_concrete(v) for v in args) and all(
-            _is_concrete(v) for v in kwargs.values()
+        all_concrete = all(is_concrete(v) for v in args) and all(
+            is_concrete(v) for v in kwargs.values()
         )
         if all_concrete and (fn in _SAFE_CONCRETE or _is_numpy_callable(fn)):
             try:
                 result = fn(
-                    *[_concrete(a) for a in args],
-                    **{k: _concrete(v) for k, v in kwargs.items()},
+                    *[concrete(a) for a in args],
+                    **{k: concrete(v) for k, v in kwargs.items()},
                 )
             except Exception as exc:
                 raise Inconclusive(
@@ -986,556 +592,44 @@ class _StepInterpreter(ast.NodeVisitor):
         # a derived value. Anything else seeing a random variable is
         # beyond the analysis.
         if fn in _COERCIONS and len(args) == 1:
-            val = args[0]
-            aff = _affine_of(val)
-            return _derived(val, affine=aff)
+            return derived(args[0], affine=affine_of(args[0]))
+        vals = list(args) + list(kwargs.values())
         if _is_numpy_callable(fn):
-            vals = list(args) + list(kwargs.values())
             if fn is np.asarray and args:
-                aff = _affine_of(args[0])
-                return _derived(*vals, affine=aff)
-            return _derived(*vals)
-        if any(_rvs(v) for v in list(args) + list(kwargs.values())):
+                return derived(*vals, affine=affine_of(args[0]))
+            return derived(*vals)
+        if any(rvs(v) for v in vals):
             raise Inconclusive(
                 f"unknown call {getattr(fn, '__name__', fn)!r} receives a "
                 f"random variable at line {node.lineno}"
             )
-        return _derived(*(list(args) + list(kwargs.values())))
+        return derived(*vals)
 
     def sym_app_call(self, args: List[AbsVal], node: ast.AST) -> AbsVal:
-        if not args or not _is_concrete(args[0]):
+        if not args or not is_concrete(args[0]):
             raise Inconclusive(f"symbolic app with non-constant op at line {node.lineno}")
-        op = _concrete(args[0])
-        operands = args[1:]
-        if all(_is_concrete(v) for v in operands):
-            return _derived(*operands)
-        if op == "matvec" and len(operands) == 2:
-            vec = operands[1]
-            if _rvs(vec):
-                aff = _affine_of(vec)
-                if aff is not None:
-                    return _derived(*operands, affine=Affine(aff.uid, "mv"))
-            return _derived(*operands)
-        if op in ("add", "sub") and len(operands) == 2:
-            a, b = operands
-            if _rvs(a) and not _rvs(b):
-                aff = _affine_of(a)
-            elif _rvs(b) and not _rvs(a):
-                aff = _affine_of(b)
-            else:
-                aff = None
-            return _derived(*operands, affine=aff)
-        if op in ("mul", "div") and len(operands) == 2:
-            a, b = operands
-            if _rvs(a) and not _rvs(b):
-                aff = _affine_of(a)
-            elif _rvs(b) and not _rvs(a) and op == "mul":
-                aff = _affine_of(b)
-            else:
-                aff = None
-            if aff is not None:
-                aff = Affine(aff.uid, aff.kind)
-            return _derived(*operands, affine=aff)
-        if op == "getitem" and len(operands) == 2:
-            base = operands[0]
-            if isinstance(base, AbsRV):
-                rv = self.record.nodes.get(base.uid)
-                if rv is not None and rv.family == "mv_gaussian":
-                    return _derived(base, affine=Affine(base.uid, "projection"))
-            return _derived(*operands)
-        return _derived(*operands)
+        operands = tuple(args[1:])
+        if all(is_concrete(v) for v in operands):
+            return derived(*operands)
+        return arith(concrete(args[0]), operands, self.record)
 
     # -- the probabilistic operators ----------------------------------
 
     def ctx_call(self, name: str, node: ast.Call) -> AbsVal:
         args = [self.eval(a) for a in node.args]
-        if name == "sample":
-            if len(args) != 1 or not isinstance(args[0], AbsDist):
-                raise Inconclusive(
-                    f"sample of a non-distribution value at line {node.lineno}"
-                )
-            dist = args[0]
-            rv = self.fresh_rv(dist.family, dist.params, node, observe=False)
-            self.classify_and_link(rv, dist, node)
-            return AbsRV(rv.uid)
-        if name == "observe":
-            if len(args) != 2 or not isinstance(args[0], AbsDist):
-                raise Inconclusive(
-                    f"observe of a non-distribution value at line {node.lineno}"
-                )
-            dist = args[0]
-            rv = self.fresh_rv(dist.family, dist.params, node, observe=True)
-            rv.observed = True
-            rv.realized = True
-            self.classify_and_link(rv, dist, node)
-            if not rv.parents and self.particle_branch_depth == 0:
-                self.diag(
-                    UNUSED_OBSERVE,
-                    f"observe({dist.family}(...)) conditions no latent "
-                    "variable — every particle receives the same weight "
-                    "(posterior-neutral)",
-                    node,
-                )
+        if name == "sample" and len(args) == 1:
+            return self.sample(args[0], self.site(node))
+        if name == "observe" and len(args) == 2:
+            self.observe(args[0], self.site(node))
             return AbsConst(None)
-        if name == "value":
-            if len(args) != 1:
-                raise Inconclusive(f"value() arity at line {node.lineno}")
-            val = args[0]
-            bases = _rvs(val)
-            for uid in bases:
-                if uid in self.record.nodes:
-                    self.record.nodes[uid].realized = True
-            if bases:
-                self.record.forced += len(bases)
-            if _is_concrete(val):
-                return val
-            return AbsDerived(forced=True, inputy=_flag(val, "inputy"))
+        if name == "value" and len(args) == 1:
+            return self.value(args[0])
         if name == "factor":
             return AbsConst(None)
-        raise Inconclusive(f"unknown ctx operator {name!r} at line {node.lineno}")
-
-
-# ----------------------------------------------------------------------
-# state abstraction across instants
-# ----------------------------------------------------------------------
-
-def _flatten_state(val: AbsVal, path: Tuple[int, ...] = ()) -> Dict[Tuple[int, ...], AbsVal]:
-    if isinstance(val, AbsTuple):
-        out: Dict[Tuple[int, ...], AbsVal] = {}
-        for i, e in enumerate(val.elems):
-            out.update(_flatten_state(e, path + (i,)))
-        return out
-    return {path: val}
-
-
-def _state_signature(slots: Dict[Tuple[int, ...], AbsVal]) -> Tuple:
-    sig = []
-    for path in sorted(slots):
-        val = slots[path]
-        if _rvs(val):
-            sig.append((path, "rv"))
-        elif isinstance(val, AbsConst):
-            sig.append((path, "const", repr(val.value)))
-        elif _flag(val, "inputy"):
-            sig.append((path, "input"))
-        else:
-            sig.append((path, "derived"))
-    return tuple(sig)
-
-
-def _rebuild_state(
-    val: AbsVal,
-    carried: Dict[Tuple[int, ...], AbsVal],
-    path: Tuple[int, ...] = (),
-) -> AbsVal:
-    if isinstance(val, AbsTuple):
-        return AbsTuple(
-            tuple(
-                _rebuild_state(e, carried, path + (i,))
-                for i, e in enumerate(val.elems)
-            )
+        raise Inconclusive(
+            f"unsupported ctx.{name} call with {len(args)} argument(s) "
+            f"at line {node.lineno}"
         )
-    return carried.get(path, val)
-
-
-# ----------------------------------------------------------------------
-# the analyzer
-# ----------------------------------------------------------------------
-
-class _ModelAnalyzer:
-    def __init__(self, model: Any):
-        self.model = model
-        self.uid_counter = 0
-        self.diagnostics: List[Diagnostic] = []
-        self._diag_keys: Set[Tuple] = set()
-        self.batchable_ok = True
-        self.families_by_id = _family_constructors()
-        from repro.symbolic import app as sym_app
-
-        self.sym_app = sym_app
-        self._load_step()
-
-    # -- source loading ------------------------------------------------
-
-    def _load_step(self) -> None:
-        model = self.model
-        from repro.runtime.node import FunProbNode
-
-        if isinstance(model, FunProbNode):
-            func = model._step_fn
-            self.self_value: Optional[AbsVal] = None
-        else:
-            func = type(model).step
-            self.self_value = AbsConst(model)
-        func = inspect.unwrap(func)
-        if hasattr(func, "__func__"):
-            func = func.__func__
-        try:
-            source = textwrap.dedent(inspect.getsource(func))
-            self.file = inspect.getsourcefile(func) or ""
-            _, self.first_line = inspect.getsourcelines(func)
-        except (OSError, TypeError) as exc:
-            raise Inconclusive(f"no source available for step: {exc}")
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            raise Inconclusive(f"step source does not parse: {exc}")
-        if not tree.body or not isinstance(tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
-            raise Inconclusive("step source is not a function definition")
-        self.func_def = tree.body[0]
-        self.globals = dict(getattr(func, "__globals__", {}))
-        try:
-            closure = inspect.getclosurevars(func)
-            self.globals.update(closure.nonlocals)
-        except (TypeError, ValueError):
-            pass
-        params = [a.arg for a in self.func_def.args.args]
-        if self.self_value is not None:
-            if not params or params[0] not in ("self",):
-                raise Inconclusive("step does not take self")
-            params = params[1:]
-        if len(params) != 3:
-            raise Inconclusive(
-                f"step signature has {len(params)} parameters, expected "
-                "(state, input, ctx)"
-            )
-        self.state_param, self.input_param, self.ctx_param = params
-
-    def site(self, node: ast.AST) -> Site:
-        line = getattr(node, "lineno", 0)
-        return Site(
-            name=type(self.model).__name__,
-            file=self.file,
-            line=self.first_line + line - 1 if line else 0,
-        )
-
-    def next_uid(self) -> int:
-        self.uid_counter += 1
-        return self.uid_counter
-
-    def add_diag(self, diag: Diagnostic) -> None:
-        key = (diag.code, diag.site.line, diag.message)
-        if key not in self._diag_keys:
-            self._diag_keys.add(key)
-            self.diagnostics.append(diag)
-
-    # -- abstract stepping ---------------------------------------------
-
-    def run_step(self, state: AbsVal) -> Tuple[AbsVal, AbsVal, _StepRecord]:
-        record = _StepRecord()
-        env: Dict[str, AbsVal] = {
-            self.state_param: state,
-            self.input_param: AbsInput(),
-            self.ctx_param: _CTX,  # type: ignore[dict-item]
-        }
-        if self.self_value is not None:
-            env["self"] = self.self_value
-        # carried markers referenced by the incoming state must be
-        # resolvable by uid for family lookups and consumption marking.
-        for slot_val in _flatten_state(state).values():
-            for uid in _rvs(slot_val):
-                if uid in self.carried_nodes:
-                    record.nodes[uid] = self.carried_nodes[uid]
-        interp = _StepInterpreter(self, env, record)
-        try:
-            interp.run(self.func_def.body)
-            out: AbsVal = AbsConst(None)
-        except _Return as ret:
-            out = ret.value
-        if not isinstance(out, AbsTuple) or len(out.elems) != 2:
-            raise Inconclusive("step does not return an (output, state) pair")
-        return out.elems[0], out.elems[1], record
-
-    def make_carried(
-        self, next_state: AbsVal, record: _StepRecord, prev_state: Optional[AbsVal] = None
-    ) -> Tuple[AbsVal, Dict[Tuple[int, ...], int]]:
-        """Replace RVs flowing into the state with carried markers.
-
-        Constant slots that change on consecutive instants (step
-        counters and the like) are widened to an opaque non-random
-        value after the second change, so the state signature can
-        reach a fixpoint.
-        """
-        slots = _flatten_state(next_state)
-        prev_slots = _flatten_state(prev_state) if prev_state is not None else {}
-        carried_vals: Dict[Tuple[int, ...], AbsVal] = {}
-        slot_uids: Dict[Tuple[int, ...], int] = {}
-        for path, val in slots.items():
-            bases = _rvs(val)
-            if not bases:
-                if path in self._widened_slots:
-                    if isinstance(val, AbsConst):
-                        carried_vals[path] = AbsDerived()
-                    continue
-                prev = prev_slots.get(path)
-                if (
-                    isinstance(val, AbsConst)
-                    and isinstance(prev, AbsConst)
-                    and repr(prev.value) != repr(val.value)
-                ):
-                    self._const_changes[path] = self._const_changes.get(path, 0) + 1
-                    if self._const_changes[path] >= 2:
-                        self._widened_slots.add(path)
-                        carried_vals[path] = AbsDerived()
-                continue
-            family = ""
-            for uid in sorted(bases):
-                src = record.nodes.get(uid) or self.carried_nodes.get(uid)
-                if src is not None:
-                    family = src.family
-                    break
-            uid = self.next_uid()
-            marker = _Node(
-                uid=uid,
-                name=f"state{list(path)}" if path else "state",
-                family=family,
-                kind="carried",
-                root=False,
-                site=Site(name=type(self.model).__name__, file=self.file, line=self.first_line),
-                slot=path,
-            )
-            self.carried_nodes[uid] = marker
-            slot_uids[path] = uid
-            if isinstance(val, AbsRV):
-                carried_vals[path] = AbsRV(uid)
-            else:
-                carried_vals[path] = AbsDerived(
-                    rvs=frozenset((uid,)),
-                    forced=_flag(val, "forced"),
-                    inputy=_flag(val, "inputy"),
-                )
-        return _rebuild_state(next_state, carried_vals), slot_uids
-
-    # -- the full analysis ---------------------------------------------
-
-    def analyze(self) -> ModelAnalysis:
-        from repro.delayed.detect import BATCHABLE_FAMILIES
-
-        self.carried_nodes: Dict[int, _Node] = {}
-        self._const_changes: Dict[Tuple[int, ...], int] = {}
-        self._widened_slots: Set[Tuple[int, ...]] = set()
-        init_state = _to_abstract(self.model.init())
-
-        families: Set[str] = set()
-        max_roots = 0
-        state = init_state
-        slot_uids: Dict[Tuple[int, ...], int] = {}
-        prev_sig = None
-        steady_record: Optional[_StepRecord] = None
-        steady_next: Optional[AbsVal] = None
-        steady_slot_uids: Dict[Tuple[int, ...], int] = {}
-        slot_names: Dict[Tuple[int, ...], str] = {}
-        anc: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
-
-        for _ in range(MAX_ABSTRACT_STEPS):
-            _, next_state, record = self.run_step(state)
-            families |= record.families
-            max_roots = max(max_roots, record.roots)
-            slots = _flatten_state(next_state)
-            sig = _state_signature(slots)
-
-            # slot-level ancestry: which slots' variables live in the
-            # transitive past of each slot's current variable.
-            new_anc: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
-            uid_to_slot = {uid: path for path, uid in slot_uids.items()}
-            fresh_to_slot: Dict[int, Tuple[int, ...]] = {}
-            for path, val in slots.items():
-                for uid in _rvs(val):
-                    if uid in record.nodes and record.nodes[uid].kind != "carried":
-                        fresh_to_slot.setdefault(uid, path)
-            for path, val in slots.items():
-                acc: Set[Tuple[int, ...]] = set()
-                for uid in _rvs(val):
-                    if uid in uid_to_slot:  # carried marker moving slots
-                        src = uid_to_slot[uid]
-                        acc |= {src} | anc.get(src, set())
-                    elif uid in record.nodes:  # fresh variable
-                        for carried_slot in record.carried_ancestors(uid):
-                            acc |= {carried_slot} | anc.get(carried_slot, set())
-                        for parent_uid in record.nodes[uid].parents:
-                            parent_slot = fresh_to_slot.get(parent_uid)
-                            if parent_slot is not None and parent_slot != path:
-                                acc.add(parent_slot)
-                new_anc[path] = acc
-            anc = new_anc
-
-            for path, val in slots.items():
-                if path not in slot_names:
-                    for uid in _rvs(val):
-                        node = record.nodes.get(uid)
-                        if node is not None and node.kind != "carried":
-                            slot_names[path] = node.name
-                            break
-
-            if sig == prev_sig:
-                steady_record = record
-                steady_next = next_state
-                steady_slot_uids = dict(slot_uids)
-                break
-            prev_sig = sig
-            state, slot_uids = self.make_carried(next_state, record, state)
-        else:
-            raise Inconclusive(
-                f"state structure did not stabilize within {MAX_ABSTRACT_STEPS} instants"
-            )
-
-        bounded = self._check_bounded(
-            steady_record, steady_next, steady_slot_uids, anc, slot_names
-        )
-
-        for family in sorted(families - BATCHABLE_FAMILIES):
-            self.add_diag(
-                make_diagnostic(
-                    NONBATCHABLE_FAMILY,
-                    f"family {family!r} has no batched kernels — the model "
-                    "cannot run on the vectorized DS graph",
-                    Site(name=type(self.model).__name__, file=self.file, line=self.first_line),
-                )
-            )
-
-        batchable = (
-            self.batchable_ok and bool(families) and families <= BATCHABLE_FAMILIES
-        )
-        shape = "tree" if max_roots >= 2 else "chain"
-        nodes = tuple(
-            RVNode(n.uid, n.name, n.family, n.kind, n.root, n.site)
-            for n in steady_record.nodes.values()
-        )
-        graph = StepGraph(
-            nodes=nodes,
-            edges=tuple(steady_record.edges),
-            observed=tuple(u for u, n in steady_record.nodes.items() if n.observed),
-            realized=tuple(u for u, n in steady_record.nodes.items() if n.realized),
-            sample_roots=max_roots,
-        )
-        return ModelAnalysis(
-            conclusive=True,
-            batchable=batchable,
-            bounded=bounded,
-            families=frozenset(families),
-            shape=shape,
-            forced=steady_record.forced,
-            step_graph=graph,
-            realize_sites=tuple(steady_record.realize_sites),
-            diagnostics=tuple(self.diagnostics),
-            name=type(self.model).__name__,
-        )
-
-    def _check_bounded(
-        self,
-        record: _StepRecord,
-        next_state: AbsVal,
-        slot_uids: Dict[Tuple[int, ...], int],
-        anc: Dict[Tuple[int, ...], Set[Tuple[int, ...]]],
-        slot_names: Dict[Tuple[int, ...], str],
-    ) -> bool:
-        slots = _flatten_state(next_state)
-        uid_to_slot = {uid: path for path, uid in slot_uids.items()}
-        # shift map: carried variable of slot p lands in slots succ[p]
-        succ: Dict[Tuple[int, ...], Set[Tuple[int, ...]]] = {}
-        chain_slots: Set[Tuple[int, ...]] = set()
-        for path, val in slots.items():
-            for uid in _rvs(val):
-                if uid in uid_to_slot:
-                    succ.setdefault(uid_to_slot[uid], set()).add(path)
-                elif uid in record.nodes and record.nodes[uid].kind != "carried":
-                    chain_slots.add(path)
-
-        def slot_consumed(path: Tuple[int, ...]) -> bool:
-            uid = slot_uids.get(path)
-            return uid is not None and record.consumed(uid)
-
-        def eventually_consumed(start: Set[Tuple[int, ...]]) -> bool:
-            seen: Set[Tuple[int, ...]] = set()
-            frontier = set(start)
-            while frontier:
-                frontier -= seen
-                if not frontier:
-                    break
-                if any(slot_consumed(p) for p in frontier):
-                    return True
-                seen |= frontier
-                nxt: Set[Tuple[int, ...]] = set()
-                for p in frontier:
-                    nxt |= succ.get(p, set())
-                frontier = nxt
-            return False
-
-        bounded = True
-        name = type(self.model).__name__
-
-        # fresh sampled variables must be consumed, now or after a
-        # bounded number of state shifts.
-        for uid, node in record.nodes.items():
-            if node.kind != "sample":
-                continue
-            if record.consumed(uid):
-                continue
-            dest = {p for p, v in slots.items() if uid in _rvs(v)}
-            if not dest:
-                self.add_diag(
-                    make_diagnostic(
-                        DANGLING_RV,
-                        f"sampled variable {node.name!r} is never observed, "
-                        "realized, or carried — a dead draw",
-                        node.site,
-                    )
-                )
-                continue
-            if not eventually_consumed(dest):
-                bounded = False
-                slot_desc = " -> ".join(
-                    "state" + str(list(p)) if p else "state" for p in sorted(dest)
-                )
-                self.add_diag(
-                    make_diagnostic(
-                        UNBOUNDED_MEMORY,
-                        f"sampled variable {node.name!r} is never observed or "
-                        f"realized on the {slot_desc} step edge — the "
-                        "delayed-sampling graph grows by one node per instant",
-                        node.site,
-                    )
-                )
-
-        # persistent never-consumed variables that anchor a growing chain
-        # (the hmm_init pathology).
-        for path, uid in slot_uids.items():
-            if path not in succ or path not in succ.get(path, set()):
-                # not persistent in place; shifts handled above
-                if path not in succ:
-                    continue
-            if slot_consumed(path) or eventually_consumed({path}):
-                continue
-            anchored = [q for q in chain_slots if path in anc.get(q, set())]
-            var = slot_names.get(path, "state" + str(list(path)))
-            site = Site(name=name, file=self.file, line=self.first_line)
-            if anchored:
-                bounded = False
-                chain_desc = ", ".join(
-                    slot_names.get(q, "state" + str(list(q))) for q in anchored
-                )
-                self.add_diag(
-                    make_diagnostic(
-                        UNBOUNDED_MEMORY,
-                        f"variable {var!r} is kept in the stream state but "
-                        "never observed or realized, and it anchors the "
-                        f"history of the growing chain ({chain_desc}) — the "
-                        "graph cannot collect the chain past an unrealized "
-                        "ancestor (the hmm_init pathology of Section 5.3)",
-                        site,
-                    )
-                )
-            else:
-                self.add_diag(
-                    make_diagnostic(
-                        DANGLING_RV,
-                        f"variable {var!r} is kept in the stream state forever "
-                        "but never observed or realized — one permanent graph "
-                        "node (bound the window with value() if intentional)",
-                        site,
-                    )
-                )
-        return bounded
 
 
 def analyze_model(model: Any) -> ModelAnalysis:
@@ -1543,21 +637,6 @@ def analyze_model(model: Any) -> ModelAnalysis:
 
     Returns a :class:`~repro.analysis.report.ModelAnalysis`. Never
     raises for analysis-related reasons: models the interpreter cannot
-    see through come back with ``conclusive=False`` and a ``reason``
-    (the caller decides whether to fall back to the runtime probe,
-    :func:`repro.delayed.detect.probe_ds_structure`).
+    see through come back with ``conclusive=False`` and a ``reason``.
     """
-    name = type(model).__name__
-    try:
-        analyzer = _ModelAnalyzer(model)
-        return analyzer.analyze()
-    except Inconclusive as exc:
-        return ModelAnalysis(conclusive=False, reason=str(exc), name=name)
-    except RecursionError:
-        return ModelAnalysis(conclusive=False, reason="analysis recursion limit", name=name)
-    except Exception as exc:  # pragma: no cover - defensive
-        return ModelAnalysis(
-            conclusive=False,
-            reason=f"analysis failed with {type(exc).__name__}: {exc}",
-            name=name,
-        )
+    return analyze_safely(type(model).__name__, lambda: _ModelAnalyzer(model))

@@ -1,19 +1,16 @@
-"""Ahead-of-time analysis of kernel-AST programs and muF terms.
+"""The kernel-AST front end: ahead-of-time analysis of surface programs.
 
-The second frontend of :mod:`repro.analysis`: where
-:mod:`repro.analysis.absint` sees Python ``step`` functions, this
-module sees the compiled representations of the surface language —
-:class:`~repro.core.ast.Program` after the Section-3.1 rewrites
-(``prepare_program``: expand automata, desugar ``->``/``pre``/``fby``,
-schedule, check), and :class:`~repro.core.muf.MuFProgram` terms.
-
-The abstract interpretation mirrors the Python frontend exactly and
-reuses its value lattice and edge classifier: equations are evaluated
-in scheduled order, ``last x`` reads a carried state slot, and the
-abstract instant is iterated until the state structure stabilizes.
-The ``->``-rewrite's ``if last fst then e1 else e2`` resolves
-concretely (``fst`` is a real boolean in the abstract state), so the
-first and steady instants fall out naturally.
+Where :mod:`repro.analysis.absint` sees Python ``step`` functions, this
+module sees :class:`~repro.core.ast.Program` after the Section-3.1
+rewrites (``prepare_program``: expand automata, desugar
+``->``/``pre``/``fby``, schedule, check). Equations are evaluated in
+scheduled order over the values of :mod:`repro.analysis.verdict`,
+``last x`` reads the state slot named by its ``init``, and the shared
+:class:`~repro.analysis.verdict.Analyzer` iterates the instant until
+the state structure stabilizes. The ``->``-rewrite's
+``if last fst then e1 else e2`` resolves concretely (``fst`` is a real
+boolean in the abstract state), so the first and steady instants fall
+out naturally.
 
 Surface-level lints with no Python analogue live here:
 
@@ -22,57 +19,36 @@ Surface-level lints with no Python analogue live here:
 * ``REP007`` unguarded ``last`` — ``last x`` with no ``init x`` in
   scope (normally rejected by ``check_initialization``; reported as a
   diagnostic when linting unprepared programs).
-
-For muF terms (:func:`analyze_muf_term`) only a light structural taint
-pass is provided: sample-derived values flowing into an ``MIf``
-condition are lockstep violations, and families are collected from
-``MOp`` names — enough for linting hand-written terms, with
-``conclusive=False`` so routing never trusts it over the probe.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from repro.analysis.absint import (
-    MAX_ABSTRACT_STEPS,
+from repro.analysis.report import (
+    UNGUARDED_LAST,
+    UNREACHABLE_INIT,
+    Diagnostic,
+    ModelAnalysis,
+    Site,
+)
+from repro.analysis.verdict import (
+    DIST_FAMILIES,
     AbsConst,
-    AbsDerived,
     AbsDist,
     AbsInput,
     AbsRV,
     AbsTuple,
     AbsVal,
-    Affine,
+    Analyzer,
     Inconclusive,
-    _affine_of,
-    _derived,
-    _flag,
-    _is_concrete,
-    _concrete,
-    _rvs,
-    _Node,
-    _StepRecord,
-    classify_dist_edge,
-    make_rv,
-)
-from repro.analysis.report import (
-    DANGLING_RV,
-    LOCKSTEP_BRANCH,
-    NONCONJUGATE_EDGE,
-    NONBATCHABLE_FAMILY,
-    SYMBOLIC_BRANCH,
-    UNBOUNDED_MEMORY,
-    UNREACHABLE_INIT,
-    UNGUARDED_LAST,
-    UNUSED_OBSERVE,
-    Diagnostic,
-    EdgeInfo,
-    ModelAnalysis,
-    RVNode,
-    Site,
-    StepGraph,
-    make_diagnostic,
+    analyze_safely,
+    arith,
+    concrete,
+    derived,
+    is_concrete,
+    join,
+    rvs,
 )
 from repro.core.ast import (
     App,
@@ -98,26 +74,8 @@ from repro.core.ast import (
 __all__ = [
     "analyze_node",
     "analyze_program",
-    "analyze_muf_term",
-    "is_probabilistic",
     "lint_program",
 ]
-
-#: surface operators that build distribution terms
-DIST_OPS = {
-    "gaussian",
-    "mv_gaussian",
-    "beta",
-    "bernoulli",
-    "binomial",
-    "gamma",
-    "poisson",
-    "dirichlet",
-    "categorical",
-    "exponential",
-    "uniform",
-    "delta",
-}
 
 #: symbolically lifted operators (repro.core.ops) with affine tracking
 _ARITH = {"add", "sub", "mul", "div", "neg", "matvec", "getitem"}
@@ -128,106 +86,55 @@ _CMP = {"gt", "lt", "ge", "le", "eq", "ne", "and", "or", "not"}
 _MAX_INLINE_DEPTH = 4
 
 
-def _walk(expr: Expr, skip_infer: bool = False):
-    yield expr
-    if skip_infer and isinstance(expr, Infer):
-        return
-    from repro.core.scheduling import _children
-
-    for child in _children(expr):
-        yield from _walk(child, skip_infer)
-    if isinstance(expr, Where):
-        for eq in expr.equations:
-            if isinstance(eq, Eq):
-                yield from _walk(eq.expr, skip_infer)
-
-
-def is_probabilistic(decl: NodeDecl, program: Program, _seen: Optional[Set[str]] = None) -> bool:
-    """Does the node (or a node it applies) sample, observe, or factor?
-
-    Probabilistic effects under ``infer`` do not count: a driver that
-    *runs* an inference engine is itself deterministic (kind D).
-    """
-    if _seen is None:
-        _seen = set()
-    if decl.name in _seen:
-        return False
-    _seen.add(decl.name)
-    for sub in _walk(decl.body, skip_infer=True):
-        if isinstance(sub, (Sample, Observe, Factor)):
-            return True
-        if isinstance(sub, App):
-            try:
-                callee = program.decl(sub.func)
-            except KeyError:
-                continue
-            if is_probabilistic(callee, program, _seen):
-                return True
-    return False
-
-
-class _NodeAnalyzer:
+class _NodeAnalyzer(Analyzer):
     """Abstractly interpret one prepared node declaration."""
 
     def __init__(self, program: Program, decl: NodeDecl, file: str = ""):
         self.program = program
         self.decl = decl
         self.file = file
-        self.uid_counter = 0
-        self.diagnostics: List[Diagnostic] = []
-        self._diag_keys: Set[Tuple] = set()
-        self.batchable_ok = True
-        self.carried_nodes: Dict[int, _Node] = {}
-        #: persistent slot store across instants: key -> abstract value
-        self.state: Dict[str, AbsVal] = {}
+        super().__init__(decl.name, self.site())
         #: keys whose ``last`` was actually read at least once
         self.last_read: Set[str] = set()
         #: init sites for the unreachable-init lint: key -> human name
         self.init_names: Dict[str, str] = {}
-        #: widening of churning constant slots (counters like
-        #: ``t = 1. -> pre t + 1.``): consecutive-change counts and the
-        #: keys already widened to an opaque non-random value.
-        self._const_changes: Dict[str, int] = {}
-        self._widened: Set[str] = set()
-
-    # -- plumbing ------------------------------------------------------
 
     def site(self, name: str = "") -> Site:
-        label = f"{self.decl.name}" + (f".{name}" if name else "")
-        return Site(name=label, file=self.file, line=0)
+        label = f"{self.decl.name}.{name}" if name else self.decl.name
+        return Site(name=label, file=self.file)
 
-    def next_uid(self) -> int:
-        self.uid_counter += 1
-        return self.uid_counter
+    # -- the Analyzer hooks --------------------------------------------
 
-    def add_diag(self, diag: Diagnostic) -> None:
-        key = (diag.code, str(diag.site), diag.message)
-        if key not in self._diag_keys:
-            self._diag_keys.add(key)
-            self.diagnostics.append(diag)
-
-    # -- one abstract instant ------------------------------------------
-
-    def run_step(self) -> Tuple[AbsVal, _StepRecord, Dict[str, AbsVal]]:
-        record = _StepRecord()
-        for uid, node in self.carried_nodes.items():
-            record.nodes[uid] = node
-        next_state: Dict[str, AbsVal] = {}
+    def instant(self, state: Dict[str, AbsVal]) -> Dict[str, AbsVal]:
+        self.state, self.next_state = state, {}
         env = {p: AbsInput(path=p) for p in self.decl.param}
-        out = self.eval(self.decl.body, env, record, next_state, scope="", depth=0)
-        return out, record, next_state
+        self.eval(self.decl.body, env, scope="", depth=0)
+        return self.next_state
+
+    def slot_name(self, key: str) -> str:
+        return self.init_names.get(key, key)
+
+    def slot_site(self, key: str) -> Site:
+        return self.site(self.slot_name(key))
+
+    def lints(self) -> None:
+        for key, human in self.init_names.items():
+            # rewrite-generated guards (fst/pre temporaries) are owned by
+            # the compiler, not the program author.
+            if not human.startswith("_") and key not in self.last_read:
+                self.diag(
+                    UNREACHABLE_INIT,
+                    f"init {human!r} is dead: last {human!r} is never "
+                    "read, so the initialization value is unreachable",
+                    self.site(human),
+                )
 
     # -- expression evaluation -----------------------------------------
 
-    def eval(
-        self,
-        expr: Expr,
-        env: Dict[str, AbsVal],
-        record: _StepRecord,
-        next_state: Dict[str, AbsVal],
-        scope: str,
-        depth: int,
-    ) -> AbsVal:
+    def eval(self, expr: Expr, env: Dict[str, AbsVal], scope: str, depth: int) -> AbsVal:
+        def sub(e: Expr) -> AbsVal:
+            return self.eval(e, env, scope, depth)
+
         if isinstance(expr, Const):
             return AbsConst(expr.value)
         if isinstance(expr, Var):
@@ -235,89 +142,52 @@ class _NodeAnalyzer:
                 return env[expr.name]
             raise Inconclusive(f"unbound variable {expr.name!r} in {self.decl.name}")
         if isinstance(expr, Pair):
-            return AbsTuple(
-                (
-                    self.eval(expr.first, env, record, next_state, scope, depth),
-                    self.eval(expr.second, env, record, next_state, scope, depth),
-                )
-            )
+            return AbsTuple((sub(expr.first), sub(expr.second)))
         if isinstance(expr, Last):
             key = f"{scope}{expr.name}"
             self.last_read.add(key)
             if key not in self.state:
-                self.add_diag(
-                    make_diagnostic(
-                        UNGUARDED_LAST,
-                        f"last {expr.name!r} has no init equation in scope",
-                        self.site(expr.name),
-                    )
+                self.diag(
+                    UNGUARDED_LAST,
+                    f"last {expr.name!r} has no init equation in scope",
+                    self.site(expr.name),
                 )
                 raise Inconclusive(f"unguarded last {expr.name!r}")
             return self.state[key]
         if isinstance(expr, Where):
-            return self.eval_where(expr, env, record, next_state, scope, depth)
+            return self.eval_where(expr, env, scope, depth)
         if isinstance(expr, Op):
-            return self.eval_op(expr, env, record, next_state, scope, depth)
+            return self.eval_op(expr, env, scope, depth)
         if isinstance(expr, Sample):
-            dist = self.eval(expr.dist, env, record, next_state, scope, depth)
-            if not isinstance(dist, AbsDist):
-                raise Inconclusive(
-                    f"sample of a non-distribution term in {self.decl.name}"
-                )
-            rv = make_rv(
-                record, self.next_uid(), dist.family, dist.params,
-                self.site(), observe=False,
-            )
-            self.link(rv, dist, record)
-            return AbsRV(rv.uid)
+            return self.sample(sub(expr.dist), self.site())
         if isinstance(expr, Observe):
-            dist = self.eval(expr.dist, env, record, next_state, scope, depth)
-            self.eval(expr.value, env, record, next_state, scope, depth)
-            if not isinstance(dist, AbsDist):
-                raise Inconclusive(
-                    f"observe of a non-distribution term in {self.decl.name}"
-                )
-            rv = make_rv(
-                record, self.next_uid(), dist.family, dist.params,
-                self.site(), observe=True,
-            )
-            rv.observed = True
-            rv.realized = True
-            self.link(rv, dist, record)
-            if not rv.parents:
-                self.add_diag(
-                    make_diagnostic(
-                        UNUSED_OBSERVE,
-                        f"observe({dist.family}(...)) conditions no latent "
-                        "variable — every particle receives the same weight",
-                        self.site(),
-                    )
-                )
+            dist = sub(expr.dist)
+            sub(expr.value)
+            self.observe(dist, self.site())
             return AbsConst(())
         if isinstance(expr, Factor):
-            self.eval(expr.score, env, record, next_state, scope, depth)
+            sub(expr.score)
             return AbsConst(())
         if isinstance(expr, Infer):
             # a nested inference engine: its result is a concrete
             # distribution object, opaque to this analysis.
-            return _derived()
+            return derived()
         if isinstance(expr, App):
-            return self.eval_app(expr, env, record, next_state, scope, depth)
+            return self.eval_app(expr, env, scope, depth)
         if isinstance(expr, Present):
             return self.eval_branch(
-                expr.cond, expr.then_branch, expr.else_branch,
-                env, record, next_state, scope, depth,
+                expr.cond, expr.then_branch, expr.else_branch, env, scope, depth
             )
         if isinstance(expr, Reset):
             # reset re-initializes state when the clock ticks; for the
             # steady-state graph the body's dataflow is what matters.
-            self.eval(expr.every, env, record, next_state, scope, depth)
-            return self.eval(expr.body, env, record, next_state, scope, depth)
+            sub(expr.every)
+            return sub(expr.body)
         raise Inconclusive(
             f"unsupported kernel construct {type(expr).__name__} in {self.decl.name}"
         )
 
-    def eval_where(self, expr, env, record, next_state, scope, depth):
+    def eval_where(self, expr, env, scope, depth):
         local = dict(env)
         inits = [eq for eq in expr.equations if isinstance(eq, InitEq)]
         defs = [eq for eq in expr.equations if isinstance(eq, Eq)]
@@ -327,22 +197,19 @@ class _NodeAnalyzer:
             if key not in self.state:
                 self.state[key] = AbsConst(init_eq.value.value)
         for eq in defs:
-            value = self.eval(eq.expr, local, record, next_state, scope, depth)
+            value = self.eval(eq.expr, local, scope, depth)
             if isinstance(value, AbsRV):
-                rv = record.nodes.get(value.uid)
+                rv = self.record.nodes.get(value.uid)
                 if rv is not None and rv.default_name and not eq.name.startswith("_"):
                     rv.name = eq.name
                     rv.default_name = False
             local[eq.name] = value
         for init_eq in inits:
             key = f"{scope}{init_eq.name}"
-            if init_eq.name in local:
-                next_state[key] = local[init_eq.name]
-            else:
-                next_state[key] = self.state[key]
-        return self.eval(expr.body, local, record, next_state, scope, depth)
+            self.next_state[key] = local.get(init_eq.name, self.state[key])
+        return self.eval(expr.body, local, scope, depth)
 
-    def eval_app(self, expr, env, record, next_state, scope, depth):
+    def eval_app(self, expr, env, scope, depth):
         if depth >= _MAX_INLINE_DEPTH:
             raise Inconclusive(
                 f"node application nesting exceeds {_MAX_INLINE_DEPTH} "
@@ -352,7 +219,7 @@ class _NodeAnalyzer:
             callee = self.program.decl(expr.func)
         except KeyError:
             raise Inconclusive(f"application of unknown node {expr.func!r}")
-        arg = self.eval(expr.arg, env, record, next_state, scope, depth)
+        arg = self.eval(expr.arg, env, scope, depth)
         inner_env: Dict[str, AbsVal] = {}
         if len(callee.param) == 1:
             inner_env[callee.param[0]] = arg
@@ -364,465 +231,54 @@ class _NodeAnalyzer:
                 inner_env[p] = AbsInput(path=f"{arg.path}[{i}]")
         else:
             for p in callee.param:
-                inner_env[p] = _derived(arg)
+                inner_env[p] = derived(arg)
         inner_scope = f"{scope}{expr.func}#{id(expr) % 100000}."
-        return self.eval(
-            callee.body, inner_env, record, next_state, inner_scope, depth + 1
-        )
+        return self.eval(callee.body, inner_env, inner_scope, depth + 1)
 
-    def eval_op(self, expr, env, record, next_state, scope, depth):
+    def eval_op(self, expr, env, scope, depth):
         name = expr.name
         if name == "if":
-            return self.eval_branch(
-                expr.args[0], expr.args[1], expr.args[2],
-                env, record, next_state, scope, depth,
-            )
-        args = [
-            self.eval(a, env, record, next_state, scope, depth) for a in expr.args
-        ]
-        if name in DIST_OPS:
-            return AbsDist(name, tuple(args))
-        if all(_is_concrete(a) for a in args):
+            return self.eval_branch(*expr.args, env, scope, depth)
+        args = tuple(self.eval(a, env, scope, depth) for a in expr.args)
+        if name in DIST_FAMILIES:
+            return AbsDist(name, args)
+        if all(is_concrete(a) for a in args):
             from repro.core.ops import apply_op
 
             try:
-                return AbsConst(apply_op(name, tuple(_concrete(a) for a in args)))
+                return AbsConst(apply_op(name, tuple(concrete(a) for a in args)))
             except Exception:
-                return _derived(*args)
+                return derived(*args)
         if name in _ARITH:
-            return self._arith(name, args, record)
-        if name in _CMP:
+            return arith(name, args, self.record)
+        if name in _CMP and any(rvs(a) for a in args):
             # concrete-only at runtime: symbolic operands raise under
             # every delayed sampler.
-            if any(_rvs(a) for a in args):
-                self.add_diag(
-                    make_diagnostic(
-                        SYMBOLIC_BRANCH,
-                        f"comparison {name!r} on a symbolic value — raises "
-                        "under every delayed sampler; sample eagerly or "
-                        "restructure",
-                        self.site(),
-                    )
-                )
-                self.batchable_ok = False
-            return _derived(*args)
-        return _derived(*args)
+            self.symbolic_use(self.site())
+        return derived(*args)
 
-    def _arith(self, name: str, args: List[AbsVal], record: _StepRecord) -> AbsVal:
-        affine = None
-        if name in ("add", "sub") and len(args) == 2:
-            a, b = args
-            if _rvs(a) and not _rvs(b):
-                affine = _affine_of(a)
-            elif _rvs(b) and not _rvs(a):
-                affine = _affine_of(b)
-        elif name in ("mul", "div") and len(args) == 2:
-            a, b = args
-            aff = None
-            if _rvs(a) and not _rvs(b):
-                aff = _affine_of(a)
-            elif _rvs(b) and not _rvs(a) and name == "mul":
-                aff = _affine_of(b)
-            if aff is not None:
-                affine = Affine(aff.uid, aff.kind)
-        elif name == "neg" and len(args) == 1:
-            affine = _affine_of(args[0])
-        elif name == "matvec" and len(args) == 2:
-            aff = _affine_of(args[1])
-            if aff is not None:
-                affine = Affine(aff.uid, "mv")
-        elif name == "getitem" and len(args) == 2:
-            base = args[0]
-            if isinstance(base, AbsRV):
-                node = record.nodes.get(base.uid) or self.carried_nodes.get(base.uid)
-                if node is not None and node.family == "mv_gaussian":
-                    affine = Affine(base.uid, "projection")
-        return _derived(*args, affine=affine)
+    def eval_branch(self, cond_e, then_e, else_e, env, scope, depth):
+        cond = self.eval(cond_e, env, scope, depth)
+        taken = self.branch_verdict(cond, self.site())
+        if taken is not None:
+            return self.eval(then_e if taken else else_e, env, scope, depth)
+        # analyze both arms against snapshots of the next state and merge
+        before = dict(self.next_state)
 
-    def eval_branch(self, cond_e, then_e, else_e, env, record, next_state, scope, depth):
-        cond = self.eval(cond_e, env, record, next_state, scope, depth)
-        if _is_concrete(cond):
-            return self.eval(
-                then_e if bool(_concrete(cond)) else else_e,
-                env, record, next_state, scope, depth,
-            )
-        if _rvs(cond):
-            self.add_diag(
-                make_diagnostic(
-                    SYMBOLIC_BRANCH,
-                    "control flow branches on a symbolic value — raises "
-                    "under every delayed sampler",
-                    self.site(),
-                )
-            )
-            self.batchable_ok = False
-        elif _flag(cond, "forced"):
-            self.add_diag(
-                make_diagnostic(
-                    LOCKSTEP_BRANCH,
-                    "control flow branches on a per-particle value — the "
-                    "batched backend cannot run this in lockstep",
-                    self.site(),
-                )
-            )
-            self.batchable_ok = False
-        # analyze both arms against snapshots and merge
-        roots_before = record.roots
-        state_before = dict(next_state)
-        then_v = self.eval(then_e, env, record, next_state, scope, depth)
-        then_state = dict(next_state)
-        then_roots = record.roots
-        next_state.clear()
-        next_state.update(state_before)
-        record.roots = roots_before
-        else_v = self.eval(else_e, env, record, next_state, scope, depth)
-        else_roots = record.roots
-        record.roots = roots_before + max(
-            then_roots - roots_before, else_roots - roots_before
+        def arm(e: Expr):
+            self.next_state.clear()
+            self.next_state.update(before)
+            return self.eval(e, env, scope, depth), dict(self.next_state)
+
+        (then_v, then_state), (else_v, _) = self.both_arms(
+            cond, lambda: arm(then_e), lambda: arm(else_e)
         )
         for key, val in then_state.items():
-            if key in next_state and next_state[key] != val:
-                next_state[key] = self._merge(next_state[key], val)
+            if key in self.next_state and self.next_state[key] != val:
+                self.next_state[key] = join(self.next_state[key], val)
             else:
-                next_state.setdefault(key, val)
-        return self._merge(then_v, else_v)
-
-    def _merge(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        if a == b:
-            return a
-        if isinstance(a, AbsTuple) and isinstance(b, AbsTuple) and len(a.elems) == len(b.elems):
-            return AbsTuple(tuple(self._merge(x, y) for x, y in zip(a.elems, b.elems)))
-        return _derived(a, b)
-
-    def link(self, rv: _Node, dist: AbsDist, record: _StepRecord) -> None:
-        if not rv.parents:
-            return
-        kind, conjugate = classify_dist_edge(record, dist)
-        parent_names = ",".join(
-            record.nodes[p].name if p in record.nodes else str(p)
-            for p in rv.parents
-        )
-        edge = EdgeInfo(
-            parent=parent_names, child=rv.name, kind=kind,
-            conjugate=conjugate, site=rv.site,
-        )
-        record.edges.append(edge)
-        if not conjugate:
-            record.realize_sites.append(edge)
-            for p in rv.parents:
-                if p in record.nodes:
-                    record.nodes[p].realized = True
-            record.forced += len(rv.parents)
-            self.add_diag(
-                make_diagnostic(
-                    NONCONJUGATE_EDGE,
-                    f"non-conjugate dependence of {rv.family}({parent_names}) "
-                    "— the delayed sampler realizes the parent here (one "
-                    "forced realization per parent per instant)",
-                    rv.site,
-                )
-            )
-
-    # -- full analysis --------------------------------------------------
-
-    def _signature(self) -> Tuple:
-        sig = []
-        for key in sorted(self.state):
-            val = self.state[key]
-            if _rvs(val):
-                sig.append((key, "rv"))
-            elif isinstance(val, AbsConst):
-                sig.append((key, "const", repr(val.value)))
-            elif _flag(val, "inputy"):
-                sig.append((key, "input"))
-            else:
-                sig.append((key, "derived"))
-        return tuple(sig)
-
-    def _carry(self, next_state: Dict[str, AbsVal], record: _StepRecord) -> Dict[str, int]:
-        """Swap RVs flowing into state for carried markers (next instant)."""
-        new_state: Dict[str, AbsVal] = {}
-        slot_uids: Dict[str, int] = {}
-        for key, val in next_state.items():
-            bases = _rvs(val)
-            if not bases:
-                # widen constant slots that change on consecutive
-                # instants (step counters, accumulators): one change is
-                # normal first-instant behaviour (the `->` guard), a
-                # second means the value churns forever.
-                if key in self._widened:
-                    new_state[key] = AbsDerived() if isinstance(val, AbsConst) else val
-                    continue
-                prev = self.state.get(key)
-                if (
-                    isinstance(val, AbsConst)
-                    and isinstance(prev, AbsConst)
-                    and repr(prev.value) != repr(val.value)
-                ):
-                    self._const_changes[key] = self._const_changes.get(key, 0) + 1
-                    if self._const_changes[key] >= 2:
-                        self._widened.add(key)
-                        new_state[key] = AbsDerived()
-                        continue
-                new_state[key] = val
-                continue
-            family = ""
-            for uid in sorted(bases):
-                src = record.nodes.get(uid)
-                if src is not None:
-                    family = src.family
-                    break
-            uid = self.next_uid()
-            marker = _Node(
-                uid=uid,
-                name=self.init_names.get(key, key),
-                family=family,
-                kind="carried",
-                root=False,
-                site=self.site(self.init_names.get(key, key)),
-                slot=(hash(key) % (1 << 30),),
-                default_name=False,
-            )
-            self.carried_nodes[uid] = marker
-            slot_uids[key] = uid
-            if isinstance(val, AbsRV):
-                new_state[key] = AbsRV(uid)
-            else:
-                new_state[key] = AbsDerived(
-                    rvs=frozenset((uid,)),
-                    forced=_flag(val, "forced"),
-                    inputy=_flag(val, "inputy"),
-                )
-        self.state = new_state
-        return slot_uids
-
-    def analyze(self) -> ModelAnalysis:
-        from repro.delayed.detect import BATCHABLE_FAMILIES
-
-        families: Set[str] = set()
-        max_roots = 0
-        prev_sig = None
-        slot_uids: Dict[str, int] = {}
-        anc: Dict[str, Set[str]] = {}
-        steady: Optional[Tuple[_StepRecord, Dict[str, AbsVal], Dict[str, int]]] = None
-
-        for _ in range(MAX_ABSTRACT_STEPS):
-            _, record, next_state = self.run_step()
-            families |= record.families
-            max_roots = max(max_roots, record.roots)
-
-            uid_to_key = {uid: key for key, uid in slot_uids.items()}
-            fresh_to_key: Dict[int, str] = {}
-            for key, val in next_state.items():
-                for uid in _rvs(val):
-                    if uid in record.nodes and record.nodes[uid].kind != "carried":
-                        fresh_to_key.setdefault(uid, key)
-            new_anc: Dict[str, Set[str]] = {}
-            for key, val in next_state.items():
-                acc: Set[str] = set()
-                for uid in _rvs(val):
-                    if uid in uid_to_key:
-                        src = uid_to_key[uid]
-                        acc |= {src} | anc.get(src, set())
-                    elif uid in record.nodes:
-                        for carried_uid_key in self._carried_anc(record, uid, uid_to_key):
-                            acc |= {carried_uid_key} | anc.get(carried_uid_key, set())
-                        for parent_uid in record.nodes[uid].parents:
-                            pkey = fresh_to_key.get(parent_uid)
-                            if pkey is not None and pkey != key:
-                                acc.add(pkey)
-                new_anc[key] = acc
-            anc = new_anc
-
-            sig_next = []
-            for key in sorted(next_state):
-                val = next_state[key]
-                if _rvs(val):
-                    sig_next.append((key, "rv"))
-                elif isinstance(val, AbsConst):
-                    sig_next.append((key, "const", repr(val.value)))
-                elif _flag(val, "inputy"):
-                    sig_next.append((key, "input"))
-                else:
-                    sig_next.append((key, "derived"))
-            sig = tuple(sig_next)
-            if sig == prev_sig:
-                steady = (record, next_state, dict(slot_uids))
-                break
-            prev_sig = sig
-            slot_uids = self._carry(next_state, record)
-        else:
-            raise Inconclusive(
-                f"state structure of {self.decl.name!r} did not stabilize "
-                f"within {MAX_ABSTRACT_STEPS} instants"
-            )
-
-        record, next_state, slot_uids = steady
-        bounded = self._check_bounded(record, next_state, slot_uids, anc)
-        self._lint_unreachable_inits()
-
-        for family in sorted(families - BATCHABLE_FAMILIES):
-            self.add_diag(
-                make_diagnostic(
-                    NONBATCHABLE_FAMILY,
-                    f"family {family!r} has no batched kernels",
-                    self.site(),
-                )
-            )
-        batchable = self.batchable_ok and bool(families) and families <= BATCHABLE_FAMILIES
-        shape = "tree" if max_roots >= 2 else "chain"
-        nodes = tuple(
-            RVNode(n.uid, n.name, n.family, n.kind, n.root, n.site)
-            for n in record.nodes.values()
-        )
-        graph = StepGraph(
-            nodes=nodes,
-            edges=tuple(record.edges),
-            observed=tuple(u for u, n in record.nodes.items() if n.observed),
-            realized=tuple(u for u, n in record.nodes.items() if n.realized),
-            sample_roots=max_roots,
-        )
-        return ModelAnalysis(
-            conclusive=True,
-            batchable=batchable,
-            bounded=bounded,
-            families=frozenset(families),
-            shape=shape,
-            forced=record.forced,
-            step_graph=graph,
-            realize_sites=tuple(record.realize_sites),
-            diagnostics=tuple(self.diagnostics),
-            name=self.decl.name,
-        )
-
-    def _carried_anc(self, record: _StepRecord, uid: int, uid_to_key: Dict[int, str]):
-        """Keys of carried markers among a fresh node's in-step ancestors."""
-        out: Set[str] = set()
-        seen: Set[int] = set()
-        stack = [uid]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur not in record.nodes:
-                continue
-            seen.add(cur)
-            node = record.nodes[cur]
-            if node.kind == "carried" and cur != uid:
-                if cur in uid_to_key:
-                    out.add(uid_to_key[cur])
-                continue
-            stack.extend(node.parents)
-        return out
-
-    def _check_bounded(
-        self,
-        record: _StepRecord,
-        next_state: Dict[str, AbsVal],
-        slot_uids: Dict[str, int],
-        anc: Dict[str, Set[str]],
-    ) -> bool:
-        uid_to_key = {uid: key for key, uid in slot_uids.items()}
-        succ: Dict[str, Set[str]] = {}
-        chain_keys: Set[str] = set()
-        for key, val in next_state.items():
-            for uid in _rvs(val):
-                if uid in uid_to_key:
-                    succ.setdefault(uid_to_key[uid], set()).add(key)
-                elif uid in record.nodes and record.nodes[uid].kind != "carried":
-                    chain_keys.add(key)
-
-        def slot_consumed(key: str) -> bool:
-            uid = slot_uids.get(key)
-            return uid is not None and record.consumed(uid)
-
-        def eventually_consumed(start: Set[str]) -> bool:
-            seen: Set[str] = set()
-            frontier = set(start)
-            while frontier:
-                frontier -= seen
-                if not frontier:
-                    break
-                if any(slot_consumed(k) for k in frontier):
-                    return True
-                seen |= frontier
-                nxt: Set[str] = set()
-                for k in frontier:
-                    nxt |= succ.get(k, set())
-                frontier = nxt
-            return False
-
-        bounded = True
-        for uid, node in record.nodes.items():
-            if node.kind != "sample" or record.consumed(uid):
-                continue
-            dest = {k for k, v in next_state.items() if uid in _rvs(v)}
-            if not dest:
-                self.add_diag(
-                    make_diagnostic(
-                        DANGLING_RV,
-                        f"sampled variable {node.name!r} is never observed, "
-                        "realized, or carried — a dead draw",
-                        node.site,
-                    )
-                )
-                continue
-            if not eventually_consumed(dest):
-                bounded = False
-                names = ", ".join(self.init_names.get(k, k) for k in sorted(dest))
-                self.add_diag(
-                    make_diagnostic(
-                        UNBOUNDED_MEMORY,
-                        f"sampled variable {node.name!r} is never observed or "
-                        f"realized on the {names} step edge — the "
-                        "delayed-sampling graph grows by one node per instant",
-                        node.site,
-                    )
-                )
-        for key, uid in slot_uids.items():
-            if key not in succ:
-                continue
-            if slot_consumed(key) or eventually_consumed({key}):
-                continue
-            anchored = [q for q in chain_keys if key in anc.get(q, set())]
-            var = self.init_names.get(key, key)
-            if anchored:
-                bounded = False
-                chain_desc = ", ".join(self.init_names.get(q, q) for q in anchored)
-                self.add_diag(
-                    make_diagnostic(
-                        UNBOUNDED_MEMORY,
-                        f"variable {var!r} is kept in the stream state but "
-                        "never observed or realized, and it anchors the "
-                        f"history of the growing chain ({chain_desc}) — the "
-                        "hmm_init pathology of Section 5.3",
-                        self.site(var),
-                    )
-                )
-            else:
-                self.add_diag(
-                    make_diagnostic(
-                        DANGLING_RV,
-                        f"variable {var!r} is kept in the stream state forever "
-                        "but never observed or realized",
-                        self.site(var),
-                    )
-                )
-        return bounded
-
-    def _lint_unreachable_inits(self) -> None:
-        for key, human in self.init_names.items():
-            # rewrite-generated guards (fst/pre temporaries) are owned by
-            # the compiler, not the program author.
-            if human.startswith("_"):
-                continue
-            if key not in self.last_read:
-                self.add_diag(
-                    make_diagnostic(
-                        UNREACHABLE_INIT,
-                        f"init {human!r} is dead: last {human!r} is never "
-                        "read, so the initialization value is unreachable",
-                        self.site(human),
-                    )
-                )
+                self.next_state.setdefault(key, val)
+        return join(then_v, else_v)
 
 
 def analyze_node(
@@ -848,19 +304,7 @@ def analyze_node(
             reason=f"program does not compile: {type(exc).__name__}: {exc}",
             name=name,
         )
-    try:
-        return _NodeAnalyzer(program, decl, file=file).analyze()
-    except Inconclusive as exc:
-        analyzer_diags: Tuple[Diagnostic, ...] = ()
-        return ModelAnalysis(
-            conclusive=False, reason=str(exc), name=name, diagnostics=analyzer_diags
-        )
-    except Exception as exc:  # pragma: no cover - defensive
-        return ModelAnalysis(
-            conclusive=False,
-            reason=f"analysis failed with {type(exc).__name__}: {exc}",
-            name=name,
-        )
+    return analyze_safely(name, lambda: _NodeAnalyzer(program, decl, file=file))
 
 
 def analyze_program(
@@ -868,13 +312,14 @@ def analyze_program(
 ) -> Dict[str, ModelAnalysis]:
     """Analyze every probabilistic node of a program.
 
-    Returns ``{node_name: ModelAnalysis}`` for nodes that sample,
-    observe, or factor (deterministic driver nodes are skipped — they
+    Returns ``{node_name: ModelAnalysis}`` for the nodes of kind P
+    (deterministic nodes — including ones *running* inference —
     have no random variables to analyze).
     """
-    try:
-        from repro.core.compiler import prepare_program
+    from repro.core.compiler import prepare_program
+    from repro.core.kinds import P, check_program
 
+    try:
         prepared = prepare_program(program)
     except Exception as exc:
         return {
@@ -885,13 +330,12 @@ def analyze_program(
             )
             for decl in program.decls
         }
-    out: Dict[str, ModelAnalysis] = {}
-    for decl in prepared.decls:
-        if is_probabilistic(decl, prepared):
-            out[decl.name] = analyze_node(
-                prepared, decl.name, file=file, prepared=True
-            )
-    return out
+    kinds = check_program(prepared)
+    return {
+        decl.name: analyze_node(prepared, decl.name, file=file, prepared=True)
+        for decl in prepared.decls
+        if kinds[decl.name] == P
+    }
 
 
 def lint_program(program: Program, file: str = "") -> List[Diagnostic]:
@@ -900,104 +344,3 @@ def lint_program(program: Program, file: str = "") -> List[Diagnostic]:
     for analysis in analyze_program(program, file=file).values():
         diags.extend(analysis.diagnostics)
     return diags
-
-
-# ----------------------------------------------------------------------
-# muF: a light structural pass
-# ----------------------------------------------------------------------
-
-def analyze_muf_term(term: Any, name: str = "<muf>") -> ModelAnalysis:
-    """Structural taint pass over a muF term (Fig. 10).
-
-    muF is higher-order, so a sound dataflow analysis would need a
-    closure analysis; instead this pass walks the term structurally:
-    families are collected from ``MOp`` distribution constructors, and
-    an ``MIf`` whose condition syntactically contains a ``sample`` (or
-    a variable bound to one in an enclosing ``let``) is flagged as a
-    lockstep violation. The result is deliberately ``conclusive=False``
-    — routing never trusts it over the probe — but the diagnostics
-    power ``replint`` for hand-written terms.
-    """
-    from repro.core.muf import (
-        MApp,
-        MFactor,
-        MFun,
-        MIf,
-        MLet,
-        MObserve,
-        MOp,
-        MSample,
-        MTerm,
-        MTuple,
-        PVar,
-    )
-
-    diagnostics: List[Diagnostic] = []
-    families: Set[str] = set()
-    sampled_vars: Set[str] = set()
-
-    def contains_sample(t: Any) -> bool:
-        if isinstance(t, MSample):
-            return True
-        from repro.core.muf import MVar
-
-        if isinstance(t, MVar):
-            return t.name in sampled_vars
-        for child in _muf_children(t):
-            if contains_sample(child):
-                return True
-        return False
-
-    def _muf_children(t: Any):
-        if isinstance(t, MTuple):
-            return t.elems
-        if isinstance(t, MOp):
-            return t.args
-        if isinstance(t, MApp):
-            return (t.func, t.arg)
-        if isinstance(t, MIf):
-            return (t.cond, t.then_branch, t.else_branch)
-        if isinstance(t, MLet):
-            return (t.bound, t.body)
-        if isinstance(t, MFun):
-            return (t.body,)
-        if isinstance(t, MSample):
-            return (t.dist,)
-        if isinstance(t, MObserve):
-            return (t.dist, t.value)
-        if isinstance(t, MFactor):
-            return (t.score,)
-        return ()
-
-    def walk(t: Any) -> None:
-        if isinstance(t, MOp) and t.name in DIST_OPS:
-            families.add(t.name)
-        if isinstance(t, MLet) and isinstance(t.pat, PVar):
-            if contains_sample(t.bound):
-                sampled_vars.add(t.pat.name)
-        if isinstance(t, MIf) and contains_sample(t.cond):
-            diagnostics.append(
-                make_diagnostic(
-                    LOCKSTEP_BRANCH,
-                    "muF `if` condition depends on a sampled value — "
-                    "cannot run in lockstep on the batched backend",
-                    Site(name=name),
-                )
-            )
-        for child in _muf_children(t):
-            walk(child)
-
-    if not isinstance(term, MTerm):
-        return ModelAnalysis(
-            conclusive=False, reason="not a muF term", name=name
-        )
-    walk(term)
-    return ModelAnalysis(
-        conclusive=False,
-        batchable=False,
-        bounded=False,
-        families=frozenset(families),
-        diagnostics=tuple(diagnostics),
-        reason="muF terms get the structural pass only (higher-order)",
-        name=name,
-    )

@@ -28,7 +28,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.absint import analyze_model
-from repro.analysis.core_ast import analyze_program
+from repro.analysis.core_ast import lint_program
 from repro.analysis.report import Diagnostic, ModelAnalysis
 
 __all__ = [
@@ -53,11 +53,7 @@ def lint_source(source: str, file: str = "<string>") -> List[Diagnostic]:
     """Diagnostics of a surface-syntax program."""
     from repro.frontend import parse_program
 
-    program = parse_program(source)
-    diags: List[Diagnostic] = []
-    for analysis in analyze_program(program, file=file).values():
-        diags.extend(analysis.diagnostics)
-    return diags
+    return lint_program(parse_program(source), file=file)
 
 
 def extract_surface_sources(py_source: str) -> List[Tuple[int, str]]:

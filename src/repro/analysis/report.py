@@ -1,8 +1,9 @@
 """Shared result types of the ahead-of-time model analysis.
 
-Every frontend (the Python abstract interpreter of
+Both front ends (the Python abstract interpreter of
 :mod:`repro.analysis.absint`, the kernel-AST walker of
-:mod:`repro.analysis.core_ast`) produces the same artifacts:
+:mod:`repro.analysis.core_ast`) produce, through the shared backend of
+:mod:`repro.analysis.verdict`, the same artifacts:
 
 * a per-step static random-variable dependency graph (:class:`RVNode`
   / :class:`EdgeInfo` inside a :class:`StepGraph`),
@@ -13,11 +14,10 @@ Every frontend (the Python abstract interpreter of
 * machine-readable :class:`Diagnostic` records (the ``replint``
   catalogue below).
 
-The verdict fields mirror the *empirical*
-:class:`~repro.delayed.detect.DSStructureReport` (``families``,
-``shape``, ``forced``, ``is_batchable``) so the two can be
-cross-validated model by model — the analysis answers the same question
-without executing the model.
+The ``families`` / ``shape`` / ``forced`` / ``is_batchable`` fields are
+what the cross-check tests (``tests/analysis``) compare, model by
+model, with an empirical probe that runs the model — the analysis
+answers the same question without executing it.
 
 Diagnostic catalogue
 --------------------
@@ -35,8 +35,8 @@ code        severity  meaning
                       realize the parent at this site (per-slot
                       realize-and-continue; costs one forced realization
                       per instant)
-``REP004``  warning   family without batched kernels (outside
-                      ``BATCHABLE_FAMILIES``)
+``REP004``  warning   family without batched kernels (no entry in
+                      the batched runtime's ``FAMILY_KERNELS``)
 ``REP005``  warning   unused observe: the observed distribution has no
                       latent parameter, so it conditions nothing (all
                       particles receive the same weight)
@@ -209,12 +209,8 @@ class ModelAnalysis:
 
     ``conclusive`` says whether the analysis could see through the
     model; when it is False the remaining verdicts are conservative
-    defaults and callers should fall back to the empirical probe
-    (:func:`repro.delayed.detect.probe_ds_structure`).
-
-    The ``families`` / ``shape`` / ``forced`` / ``is_batchable``
-    quadruple is directly comparable with
-    :class:`~repro.delayed.detect.DSStructureReport`.
+    defaults, and routing leaves the model to the registries and the
+    runtime's scalar migration.
     """
 
     conclusive: bool
@@ -231,7 +227,7 @@ class ModelAnalysis:
 
     @property
     def is_batchable(self) -> bool:
-        """Alias matching :class:`~repro.delayed.detect.DSStructureReport`."""
+        """Alias of ``batchable``, named like the cross-check probe's verdict."""
         return self.batchable
 
     @property

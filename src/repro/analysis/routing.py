@@ -4,10 +4,10 @@ The glue between the static analysis and engine selection. Before this
 module, ``infer(..., backend="auto")`` discovered the right backend
 *empirically*: try the vectorized registries, run the model, migrate to
 the scalar engines mid-stream when the graph rejects it. Now the
-ahead-of-time verdict is consulted first and the runtime probe
-(:func:`repro.delayed.detect.probe_ds_structure`) is demoted to
-confirmation — it only runs for models the analysis cannot see through
-(``conclusive=False``).
+ahead-of-time verdict is consulted first; only models the analysis
+cannot see through (``conclusive=False``) take the old registry path,
+and the graph engine's mid-stream scalar migration remains the runtime
+confirmation.
 
 Every consultation increments ``repro_analysis_verdicts_total{verdict}``
 (always-on, like the scalar-fallback counters), so a fleet's routing
@@ -41,13 +41,15 @@ _CACHE: Dict[Tuple, ModelAnalysis] = {}
 _CACHE_MAX = 1024
 
 
-def _attr_repr(value: Any) -> str:
-    """A repr safe to key a cache on: default object reprs embed memory
-    addresses (``<... object at 0x...>``), which would make every
-    instance a cache miss — normalize those to the type name."""
+def _attr_key(value: Any) -> Any:
+    """An attribute's part of the cache key: its repr, or the object
+    itself when the repr is the default ``<... at 0x...>`` one. Such a
+    repr says nothing about the value — two ``FunProbNode`` step
+    functions differ only in their address."""
     r = repr(value)
     if " at 0x" in r:
-        return f"<{type(value).__module__}.{type(value).__qualname__}>"
+        hash(value)  # an unhashable one makes the model uncacheable
+        return value
     return r
 
 
@@ -56,17 +58,18 @@ def _cache_key(model: Any) -> Optional[Tuple]:
 
     Two instances of the same class with the same attributes have the
     same step dataflow, so they share one analysis. Models with exotic
-    attribute sets (unreprable, huge) fall back to uncached analysis.
+    attribute sets (unreprable, unhashable, huge) fall back to uncached
+    analysis.
     """
     try:
         attrs = vars(model)
     except TypeError:
         return (type(model),)
     try:
-        items = tuple(sorted((k, _attr_repr(v)) for k, v in attrs.items()))
+        items = tuple(sorted((k, _attr_key(v)) for k, v in attrs.items()))
     except Exception:
         return None
-    if sum(len(k) + len(v) for k, v in items) > 4096:
+    if sum(len(k) + len(str(v)) for k, v in items) > 4096:
         return None
     return (type(model), items)
 
@@ -138,8 +141,8 @@ def consult_for_backend(model: Any, method_key: str) -> Tuple[ModelAnalysis, Opt
       vectorization is a registry property like ``pf``, or batchable
       but unbounded — the registries may still serve it, but the
       analysis will not volunteer an engine whose graph grows without
-      bound): behave as before — registry lookup, runtime
-      probe/fallback as last resort.
+      bound): behave as before — registry lookup, runtime fallback as
+      last resort.
 
     The verdict is recorded in ``repro_analysis_verdicts_total``.
     """

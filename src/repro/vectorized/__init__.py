@@ -79,7 +79,6 @@ from repro.vectorized.models import (
     register_bds_engine,
     register_conjugate_gaussian_chain,
     register_ds_graph_model,
-    register_gaussian_chain_model,
     register_sds_engine,
     register_vectorizer,
     vectorize_model,
@@ -139,7 +138,6 @@ __all__ = [
     "register_sds_engine",
     "register_bds_engine",
     "register_ds_graph_model",
-    "register_gaussian_chain_model",
     "vectorize_model",
 ]
 

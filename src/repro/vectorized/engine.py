@@ -405,9 +405,9 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
     projections of vector states, Beta-Bernoulli, Gamma-Poisson, and
     Dirichlet-Categorical slots, and tree-shaped combinations of these
     (the Outlier model's Beta→Bernoulli branch beside its Gaussian
-    position chain) — as admitted by the structure detector
-    (:func:`repro.delayed.detect.probe_ds_structure`) and the
-    registries in :mod:`repro.vectorized.models`.
+    position chain) — as admitted by the static analysis
+    (:func:`repro.analysis.analysis_for`) and the registries in
+    :mod:`repro.vectorized.models`.
 
     ``mode`` selects the paper's two streaming delayed samplers:
 

@@ -48,7 +48,6 @@ __all__ = [
     "register_sds_engine",
     "register_bds_engine",
     "register_ds_graph_model",
-    "register_gaussian_chain_model",
     "vectorize_model",
     "kalman_vectorizer",
     "coin_vectorizer",
@@ -286,8 +285,8 @@ SDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
 #: exact scalar model type -> factory of the vectorized engine that
 #: reproduces its *bounded* delayed-sampling semantics (fresh graph per
 #: step, forced realization at the end of each instant). Populated like
-#: ``SDS_ENGINES``; ``register_gaussian_chain_model`` fills both from
-#: one call for models inside the linear-Gaussian chain fragment.
+#: ``SDS_ENGINES``; ``register_ds_graph_model`` fills both from one
+#: call for models inside the batched delayed-sampling fragment.
 BDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
 
 #: exact scalar model type -> the lockstep adapter its DS-graph
@@ -404,21 +403,18 @@ def _warn_if_unbatchable(
 
     Best-effort: a model class whose constructor needs arguments, or
     one the analysis cannot see through, is registered silently — the
-    empirical probe and the runtime fallback still cover it.
+    runtime's scalar fallback still covers it.
     """
     import warnings
+
+    # Imported lazily: repro.analysis imports the vectorized layer.
+    from repro.analysis.routing import analysis_for
 
     try:
         instance = wrap(model_cls())
     except Exception:
         return
-    try:
-        # Imported lazily: repro.analysis imports the vectorized layer.
-        from repro.analysis.routing import analysis_for
-
-        analysis = analysis_for(instance)
-    except Exception:
-        return
+    analysis = analysis_for(instance)
     if analysis.conclusive and not analysis.batchable:
         details = "; ".join(d.format() for d in analysis.diagnostics) or analysis.reason
         warnings.warn(
@@ -429,11 +425,6 @@ def _warn_if_unbatchable(
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-#: back-compat alias: the PR-4 name of the registration hook, when the
-#: graph engine only covered linear-Gaussian chains.
-register_gaussian_chain_model = register_ds_graph_model
 
 
 def vectorize_model(model: Any) -> Optional[VectorizedModel]:

@@ -64,8 +64,8 @@ per-particle parameter rows and realized values differ. Forced
 realization (``ctx.value``) is allowed: it yields per-particle value
 *arrays*, which may feed back into distribution parameters (per-particle
 means, masked affine coefficients) but never into Python control flow.
-The structure detector (:mod:`repro.delayed.detect`,
-``probe_ds_structure``) admits exactly this class empirically.
+The static analysis (:mod:`repro.analysis`) admits exactly this class
+ahead of time.
 
 **The degradation ladder.** A non-conjugate or non-affine dependency
 (``x * x`` as a mean, a Gamma rate feeding a Gaussian location, a
@@ -78,7 +78,7 @@ structure the graph cannot express at all (a family without kernels —
 Uniform, InverseGamma, … — a parameter of the wrong shape, branching
 Python control flow on a per-particle value array) raises
 :class:`ChainStructureError`. ``infer`` never routes such models here
-when the detector / registries are used, and the graph engine
+when the analysis / registries are used, and the graph engine
 (:class:`~repro.vectorized.engine.VectorizedGaussianChainSDS`) catches
 the error mid-stream as the last resort, migrates the population to
 the scalar delayed samplers with a one-time :class:`RuntimeWarning`,
@@ -190,7 +190,7 @@ class ChainStructureError(GraphError):
     raised only for structure the graph cannot express at all — a family
     without SoA kernels, a parameter of the wrong shape, an operator
     with no batched evaluation rule. ``infer`` never routes such models
-    here when the structure detector / registries are used, and the
+    here when the analysis / registries are used, and the
     graph engine falls back to the scalar delayed samplers mid-stream
     (state migrated, one-time ``RuntimeWarning``) when a model leaves
     the fragment after it started.

@@ -1,4 +1,4 @@
-"""The kernel-AST frontend: surface programs, fixtures, muF terms."""
+"""The kernel-AST frontend: surface programs and fixtures."""
 
 from pathlib import Path
 
@@ -8,7 +8,6 @@ from repro.analysis import (
     SYMBOLIC_BRANCH,
     UNBOUNDED_MEMORY,
     UNUSED_OBSERVE,
-    analyze_muf_term,
     analyze_node,
     analyze_program,
     lint_program,
@@ -94,6 +93,12 @@ class TestCommittedFixtures:
         errors = [d for d in a.diagnostics if d.severity == "error"]
         assert all(d.code == SYMBOLIC_BRANCH for d in errors) and errors
 
+    def test_symbolic_branch_reported_once(self):
+        """The `gt` comparison and the `if` it feeds are one site: one
+        REP009, as the same model written in Python reports."""
+        a = _analyze_fixture("symbolic_branch.zls")["flip"]
+        assert [d.code for d in a.diagnostics].count(SYMBOLIC_BRANCH) == 1
+
 
 class TestSmallDiagnostics:
     def test_unused_observe(self):
@@ -115,18 +120,3 @@ let node dead y = x where
 """
         a = analyze_program(parse_program(source))["dead"]
         assert DANGLING_RV in codes(a)
-
-
-class TestMuF:
-    def test_structural_pass_only(self):
-        from repro.core.muf import MConst, MLet, MOp, MSample, MVar, PVar
-
-        term = MLet(
-            PVar("x"),
-            MSample(MOp("gaussian", (MConst(0.0), MConst(1.0)))),
-            MVar("x"),
-        )
-        a = analyze_muf_term(term, "m")
-        assert not a.conclusive
-        assert "structural" in a.reason
-        assert "gaussian" in a.families

@@ -2,7 +2,7 @@
 
 The cross-validation harness of the analysis PR: for every registered
 bench model the ahead-of-time verdict must agree with
-:func:`repro.delayed.detect.probe_ds_structure` (family set, shape,
+the empirical probe :func:`ds_probe.probe_ds_structure` (family set, shape,
 batchable flag), and every model the analysis proves bounded+batchable
 must run 50 steps on the batched backend without a single
 ``repro_scalar_fallback_total`` increment.
@@ -10,6 +10,7 @@ must run 50 steps on the batched backend without a single
 
 import numpy as np
 import pytest
+from ds_probe import probe_ds_structure
 
 from repro.analysis import analyze_model
 from repro.bench.models import (
@@ -25,7 +26,6 @@ from repro.bench.models import (
     WalkModel,
 )
 from repro.bench.robot import RobotModel
-from repro.delayed.detect import probe_ds_structure
 from repro.inference import infer
 from repro.obs import metrics_snapshot
 from repro.vectorized.models import GraphOutlierModel

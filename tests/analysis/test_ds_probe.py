@@ -1,78 +1,21 @@
-"""The Gaussian-chain and generic DS structure detectors."""
+"""The empirical structure probe behind the analysis cross-check."""
 
-import pytest
+from ds_probe import _run_batched_probe, probe_ds_structure
 
 from repro.bench.models import (
     CoinModel,
-    HmmModel,
     KalmanModel,
     OutlierModel,
-    WalkModel,
 )
 from repro.bench.robot import RobotModel
-from repro.delayed.detect import (
-    BATCHABLE_FAMILIES,
-    GAUSSIAN_FAMILIES,
-    probe_ds_structure,
-    probe_gaussian_chain,
-)
-
-
-class TestChainModels:
-    def test_kalman_is_a_chain(self):
-        report = probe_gaussian_chain(KalmanModel(), [0.5, -0.2, 1.1])
-        assert report.is_chain
-        assert report.families == frozenset({"gaussian"})
-        assert report.forced == 0
-        assert report.steps == 3
-
-    def test_hmm_is_a_chain(self):
-        assert probe_gaussian_chain(HmmModel(), [0.1, 0.2]).is_chain
-
-    def test_robot_is_a_chain_with_and_without_gps(self):
-        report = probe_gaussian_chain(
-            RobotModel(), [(0.0, 0.0, 0.0), (0.1, None, 0.0)]
-        )
-        assert report.is_chain
-        assert report.families == frozenset({"gaussian", "mv_gaussian"})
-
-
-class TestNonChainModels:
-    def test_coin_rejected_by_family(self):
-        report = probe_gaussian_chain(CoinModel(), [True, False])
-        assert not report.is_chain
-        assert "beta" in report.reason or "bernoulli" in report.reason
-
-    def test_outlier_rejected(self):
-        """Beta/Bernoulli families *and* a forced indicator realization."""
-        report = probe_gaussian_chain(OutlierModel(), [0.5, 0.7])
-        assert not report.is_chain
-        assert not report.families <= GAUSSIAN_FAMILIES
-        assert report.forced > 0
-
-    def test_walk_is_gaussian_but_forced_forcing_matters(self):
-        """The unobserved walk stays Gaussian and unforced: it IS a chain.
-
-        (It is still not *registered* for vectorization — registration is
-        a separate, explicit step — but the detector's verdict is about
-        structure, and the walk's structure is a chain.)
-        """
-        report = probe_gaussian_chain(WalkModel(), [None, None])
-        assert report.is_chain
-
-    def test_empty_probe_rejected(self):
-        report = probe_gaussian_chain(KalmanModel(), [])
-        assert not report.is_chain
-        assert "no probe inputs" in report.reason
+from repro.runtime.node import ProbCtx, ProbNode
+from repro.vectorized.sds_graph import FAMILY_KERNELS
 
 
 class TestDSStructureProbe:
-    """The generic detector behind the batched DS graph (PR 5)."""
-
     def test_kalman_is_batchable_chain(self):
         report = probe_ds_structure(KalmanModel(), [0.5, -0.2, 1.1])
         assert report.is_batchable
-        assert report.is_chain  # PR-4 compatibility view
         assert report.shape == "chain"
         assert report.families == frozenset({"gaussian"})
 
@@ -86,8 +29,7 @@ class TestDSStructureProbe:
         """Beta/Bernoulli families are inside the batched fragment now."""
         report = probe_ds_structure(CoinModel(), [True, False])
         assert report.is_batchable
-        assert not report.is_chain  # not a *Gaussian* chain
-        assert report.families <= BATCHABLE_FAMILIES
+        assert report.families <= FAMILY_KERNELS.keys()
         assert "beta" in report.families
 
     def test_raw_outlier_rejected_by_batched_smoke(self):
@@ -155,24 +97,63 @@ class TestRobustness:
             def step(self, state, yobs, ctx):
                 raise ValueError("boom")
 
-        report = probe_gaussian_chain(Broken(), [0.5])
-        assert not report.is_chain
+        report = probe_ds_structure(Broken(), [0.5])
+        assert not report.is_batchable
         assert "ValueError" in report.reason
 
-    def test_registration_wiring(self):
-        """The bench layer registered its chains with the backend."""
-        from repro.vectorized.models import BDS_ENGINES, SDS_ENGINES
 
-        assert KalmanModel in BDS_ENGINES
-        assert HmmModel in BDS_ENGINES
-        assert RobotModel in BDS_ENGINES
-        assert RobotModel in SDS_ENGINES  # graph engine claims robot sds
-        assert KalmanModel not in SDS_ENGINES  # closed form keeps Kalman sds
-        # PR 5: the generic graph claims the Outlier model entirely and
-        # Coin's bounded delayed sampling; Coin sds keeps its closed form.
-        assert OutlierModel in BDS_ENGINES
-        assert OutlierModel in SDS_ENGINES
-        assert CoinModel in BDS_ENGINES
-        from repro.vectorized.engine import VectorizedBetaBernoulliSDS
+class TestProbeFailureAtomicity:
+    """The probe reports, it never raises: every failure of the model
+    comes back as a stage-tagged reason."""
 
-        assert SDS_ENGINES[CoinModel] is VectorizedBetaBernoulliSDS
+    def test_batched_probe_failure_is_structured(self):
+        class SecondInitRaises(ProbNode):
+            """Scalar probe succeeds; the batched smoke run (which calls
+            ``init`` a second time) dies with an exception outside the
+            old catch list."""
+
+            def __init__(self):
+                self.inits = 0
+
+            def init(self):
+                self.inits += 1
+                if self.inits > 1:
+                    raise RuntimeError("persistent handle already consumed")
+                return None
+
+            def step(self, state, yobs, ctx: ProbCtx):
+                # beta/bernoulli families force the batched smoke run
+                from repro.lang import bernoulli, beta
+
+                p = ctx.sample(beta(1.0, 1.0))
+                ctx.observe(bernoulli(p), yobs)
+                return p, None
+
+        report = probe_ds_structure(SecondInitRaises(), [True, False])
+        assert not report.is_batchable
+        assert "stage=init" in report.reason
+        assert "RuntimeError" in report.reason
+
+    def test_batched_probe_step_failure_tags_the_step(self):
+        class StepRaises(ProbNode):
+            def init(self):
+                return None
+
+            def step(self, state, yobs, ctx: ProbCtx):
+                raise AttributeError("no such kernel")
+
+        reason = _run_batched_probe(StepRaises(), [0.1, 0.2], seed=0, n=3)
+        assert "stage=step index=0" in reason
+        assert "AttributeError" in reason
+
+    def test_scalar_probe_never_raises(self):
+        class InitRaises(ProbNode):
+            def init(self):
+                raise AttributeError("bad handle")
+
+            def step(self, state, yobs, ctx: ProbCtx):
+                return 0.0, None
+
+        report = probe_ds_structure(InitRaises(), [0.1])
+        assert not report.is_batchable
+        assert "stage=init" in report.reason

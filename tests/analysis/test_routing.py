@@ -12,16 +12,19 @@ from repro.analysis.routing import (
     consult_for_backend,
 )
 from repro.bench.models import (
+    CoinModel,
+    HmmModel,
     KalmanModel,
     OutlierModel,
     WalkModel,
 )
+from repro.bench.robot import RobotModel
 from repro.errors import InferenceError
 from repro.inference import infer
 from repro.inference.engine import StreamingDelayedSampler
-from repro.lang import gaussian
+from repro.lang import bernoulli, gaussian
 from repro.obs import metrics_snapshot
-from repro.runtime.node import ProbCtx, ProbNode
+from repro.runtime.node import FunProbNode, ProbCtx, ProbNode
 from repro.vectorized import VectorizedGaussianChainSDS
 from repro.vectorized.models import (
     BDS_ENGINES,
@@ -157,7 +160,46 @@ class TestAutoBackend:
         assert isinstance(engine, StreamingDelayedSampler)
 
 
+def _hmm_step(state, yobs, ctx: ProbCtx):
+    xt = ctx.sample(gaussian(0.0 if state is None else state, 1.0))
+    ctx.observe(gaussian(xt, 1.0), yobs)
+    return xt, xt
+
+
+def _walk_step(state, yobs, ctx: ProbCtx):
+    xt = ctx.sample(gaussian(0.0 if state is None else state, 1.0))
+    return xt, xt
+
+
+def _branching_step(state, yobs, ctx: ProbCtx):
+    xt = ctx.sample(gaussian(0.0, 1.0))
+    if ctx.value(ctx.sample(bernoulli(0.3))):
+        ctx.observe(gaussian(xt, 10.0), yobs)
+    else:
+        ctx.observe(gaussian(xt, 0.1), yobs)
+    return xt, None
+
+
 class TestAnalysisCache:
+    def test_functional_models_keyed_by_step_function(self):
+        """A ``FunProbNode``'s step function has an address-only repr;
+        each function gets its own analysis, not the first one cached."""
+        clear_analysis_cache()
+        verdicts = [
+            analysis_for(FunProbNode(None, step)).verdict
+            for step in (_hmm_step, _walk_step, _branching_step)
+        ]
+        assert verdicts == ["batchable", "batchable_unbounded", "unbatchable"]
+
+    def test_warm_cache_routes_functional_model_by_its_own_verdict(self):
+        clear_analysis_cache()
+        analysis_for(FunProbNode(None, _hmm_step))
+        engine = infer(
+            FunProbNode(None, _branching_step), n_particles=4, method="sds",
+            backend="auto",
+        )
+        assert isinstance(engine, StreamingDelayedSampler)
+
     def test_same_configuration_shares_analysis(self):
         clear_analysis_cache()
         a1 = analysis_for(KalmanModel())
@@ -201,6 +243,28 @@ class TestRegistrationVerification:
             SDS_ENGINES.pop(CleanChain, None)
             DS_GRAPH_ADAPTERS.pop(CleanChain, None)
 
+    def test_analysis_crash_propagates(self, monkeypatch):
+        """A crash inside the analysis is an analyzer bug: registration
+        raises it instead of registering silently."""
+        import repro.analysis.routing as routing_mod
+
+        class CrashChain(ProbNode):
+            def init(self):
+                return None
+
+            def step(self, state, yobs, ctx: ProbCtx):
+                xt = ctx.sample(gaussian(0.0, 1.0))
+                ctx.observe(gaussian(xt, 1.0), yobs)
+                return xt, xt
+
+        def crash(model):
+            raise RuntimeError("analyzer bug")
+
+        monkeypatch.setattr(routing_mod, "analysis_for", crash)
+        with pytest.raises(RuntimeError, match="analyzer bug"):
+            register_ds_graph_model(CrashChain)
+        assert CrashChain not in BDS_ENGINES
+
     def test_registration_is_atomic(self, monkeypatch):
         """A failure mid-registration rolls every registry back."""
         import repro.vectorized.models as models_mod
@@ -227,65 +291,18 @@ class TestRegistrationVerification:
     def test_adapter_recorded_for_routing(self):
         assert OutlierModel in DS_GRAPH_ADAPTERS
 
+    def test_registration_wiring(self):
+        """The bench layer registered its chains with the backend."""
+        assert KalmanModel in BDS_ENGINES
+        assert HmmModel in BDS_ENGINES
+        assert RobotModel in BDS_ENGINES
+        assert RobotModel in SDS_ENGINES  # graph engine claims robot sds
+        assert KalmanModel not in SDS_ENGINES  # closed form keeps Kalman sds
+        # The generic graph claims the Outlier model entirely and Coin's
+        # bounded delayed sampling; Coin sds keeps its closed form.
+        assert OutlierModel in BDS_ENGINES
+        assert OutlierModel in SDS_ENGINES
+        assert CoinModel in BDS_ENGINES
+        from repro.vectorized.engine import VectorizedBetaBernoulliSDS
 
-class TestProbeFailureAtomicity:
-    """Satellite bugfix: probes report, they never raise — so a
-    probe-then-register block cannot be aborted halfway."""
-
-    def test_batched_probe_failure_is_structured(self):
-        from repro.delayed.detect import probe_ds_structure
-
-        class SecondInitRaises(ProbNode):
-            """Scalar probe succeeds; the batched smoke run (which calls
-            ``init`` a second time) dies with an exception outside the
-            old catch list."""
-
-            def __init__(self):
-                self.inits = 0
-
-            def init(self):
-                self.inits += 1
-                if self.inits > 1:
-                    raise RuntimeError("persistent handle already consumed")
-                return None
-
-            def step(self, state, yobs, ctx: ProbCtx):
-                # beta/bernoulli families force the batched smoke run
-                from repro.lang import bernoulli, beta
-
-                p = ctx.sample(beta(1.0, 1.0))
-                ctx.observe(bernoulli(p), yobs)
-                return p, None
-
-        report = probe_ds_structure(SecondInitRaises(), [True, False])
-        assert not report.is_batchable
-        assert "stage=init" in report.reason
-        assert "RuntimeError" in report.reason
-
-    def test_batched_probe_step_failure_tags_the_step(self):
-        from repro.delayed.detect import _run_batched_probe
-
-        class StepRaises(ProbNode):
-            def init(self):
-                return None
-
-            def step(self, state, yobs, ctx: ProbCtx):
-                raise AttributeError("no such kernel")
-
-        reason = _run_batched_probe(StepRaises(), [0.1, 0.2], seed=0, n=3)
-        assert "stage=step index=0" in reason
-        assert "AttributeError" in reason
-
-    def test_scalar_probe_never_raises(self):
-        from repro.delayed.detect import probe_gaussian_chain
-
-        class InitRaises(ProbNode):
-            def init(self):
-                raise AttributeError("bad handle")
-
-            def step(self, state, yobs, ctx: ProbCtx):
-                return 0.0, None
-
-        report = probe_gaussian_chain(InitRaises(), [0.1])
-        assert not report.is_chain
-        assert "stage=init" in report.reason
+        assert SDS_ENGINES[CoinModel] is VectorizedBetaBernoulliSDS

@@ -328,7 +328,7 @@ class TestRobotEquivalence:
 
 
 # ----------------------------------------------------------------------
-# models beyond the benchmarks: a custom chain through the detector
+# models beyond the benchmarks: a custom chain through the analysis
 # ----------------------------------------------------------------------
 class ScaledChainModel(ProbNode):
     """x_t ~ N(0.9 * x_{t-1} + 0.5, 0.3), observed through N(2*x_t, 0.4)."""
@@ -347,13 +347,14 @@ class ScaledChainModel(ProbNode):
 
 class TestCustomChain:
     def test_detected_and_equivalent(self):
-        from repro.delayed.detect import probe_gaussian_chain
-        from repro.vectorized import register_gaussian_chain_model
+        from repro.analysis import analyze_model
+        from repro.vectorized import register_ds_graph_model
         from repro.vectorized.models import BDS_ENGINES, SDS_ENGINES
 
-        report = probe_gaussian_chain(ScaledChainModel(), [0.1, 0.2])
-        assert report.is_chain
-        register_gaussian_chain_model(ScaledChainModel)
+        analysis = analyze_model(ScaledChainModel())
+        assert analysis.verdict == "batchable"
+        assert analysis.families == frozenset({"gaussian"})
+        register_ds_graph_model(ScaledChainModel)
         try:
             data = [0.3, -0.1, 0.8, 0.2, 0.5]
 
