@@ -51,6 +51,16 @@ class BaseGraph:
         self.n_realized = 0
         self.n_marginalized = 0
 
+    def __copy__(self) -> "BaseGraph":
+        """Shallow copy (shares the rng, copies the counters by value).
+
+        Written out because ``copy.copy``'s generic protocol costs three
+        times as much, and every resampled delayed particle copies one.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     # ------------------------------------------------------------------
     # assume
     # ------------------------------------------------------------------

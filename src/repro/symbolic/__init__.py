@@ -11,6 +11,7 @@ from repro.symbolic.expr import (
     free_rvars,
     is_symbolic,
     map_structure,
+    rebuild_tuple,
     register_op,
     structure_rvars,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "free_rvars",
     "eval_expr",
     "map_structure",
+    "rebuild_tuple",
     "register_op",
     "structure_rvars",
     "AffineForm",

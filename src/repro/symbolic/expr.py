@@ -39,6 +39,7 @@ __all__ = [
     "free_rvars",
     "eval_expr",
     "map_structure",
+    "rebuild_tuple",
     "structure_rvars",
 ]
 
@@ -239,7 +240,7 @@ def eval_expr(value: Any, lookup: Callable[[Any], Any]) -> Any:
             raise SymbolicError(f"unknown primitive operator {value.op!r}")
         return impl(*(eval_expr(a, lookup) for a in value.args))
     if isinstance(value, tuple):
-        return tuple(eval_expr(v, lookup) for v in value)
+        return rebuild_tuple(value, [eval_expr(v, lookup) for v in value])
     if isinstance(value, list):
         return [eval_expr(v, lookup) for v in value]
     if isinstance(value, dict):
@@ -258,12 +259,25 @@ def map_structure(value: Any, fn: Callable[[SymExpr], Any]) -> Any:
     if isinstance(value, SymExpr):
         return fn(value)
     if isinstance(value, tuple):
-        return tuple(map_structure(v, fn) for v in value)
+        return rebuild_tuple(value, [map_structure(v, fn) for v in value])
     if isinstance(value, list):
         return [map_structure(v, fn) for v in value]
     if isinstance(value, dict):
         return {k: map_structure(v, fn) for k, v in value.items()}
     return value
+
+
+def rebuild_tuple(value: tuple, items: List[Any]) -> tuple:
+    """A tuple of ``value``'s own type holding ``items``.
+
+    Model states may be tuple subclasses (namedtuples); rebuilding them
+    as plain tuples would lose their field names.
+    """
+    cls = type(value)
+    if cls is tuple:
+        return tuple(items)
+    make = getattr(cls, "_make", None)
+    return make(items) if make is not None else cls(items)
 
 
 def structure_rvars(value: Any) -> Iterator[Any]:

@@ -1,8 +1,12 @@
 """Engine construction, configuration, and streaming-node behaviour."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
+from repro import FunProbNode, gaussian
+from repro.bench import OutlierModel, outlier_data
 from repro.bench.models import KalmanModel
 from repro.dists import Empirical, Mixture
 from repro.errors import InferenceError
@@ -187,3 +191,67 @@ class TestCloneOnResample:
         resampled = engine._resample(particles, np.array([0.0, 1.0, 0.0, 0.0]))
         assert all(p is not particles[1] for p in resampled)
         assert all(p.state == [1.0] for p in resampled)
+
+    @pytest.mark.parametrize("method", ["bds", "sds", "ds"])
+    def test_policies_bit_identical_when_duplicates_clone(self, method, monkeypatch):
+        """At 100 particles resampling picks some ancestors several times,
+        so ``"duplicates"`` moves one copy and clones the rest, while
+        ``"all"`` clones every pick: the posteriors must not differ."""
+        from repro.inference import engine as engine_module
+
+        calls = {"clone": 0}
+        clone = engine_module.clone_particle
+
+        def counting_clone(particle):
+            calls["clone"] += 1
+            return clone(particle)
+
+        monkeypatch.setattr(engine_module, "clone_particle", counting_clone)
+        observations = outlier_data(30, seed=2).observations
+
+        def run(policy):
+            calls["clone"] = 0
+            engine = infer(
+                OutlierModel(), n_particles=100, method=method, seed=7,
+                clone_on_resample=policy,
+            )
+            state = engine.init()
+            means = []
+            for obs in observations:
+                dist, state = engine.step(state, obs)
+                means.append(dist.mean())
+            return means, calls["clone"]
+
+        means_all, clones_all = run("all")
+        means_dup, clones_dup = run("duplicates")
+        assert means_all == means_dup
+        assert clones_all == 100 * len(observations)
+        assert 0 < clones_dup < clones_all
+
+
+State = namedtuple("State", "x t")
+
+
+def _namedtuple_step(state, obs, ctx):
+    x = ctx.sample(gaussian(state.x, 1.0))
+    ctx.observe(gaussian(x, 1.0), obs)
+    return x, State(x, state.t + 1)
+
+
+class TestNamedTupleState:
+    @pytest.mark.parametrize("backend", ["scalar", "auto"])
+    @pytest.mark.parametrize("method", ["pf", "bds", "sds", "ds"])
+    def test_state_keeps_its_type(self, method, backend):
+        """bds forces the state through ``eval_expr`` at the end of each
+        instant and sds/ds clone it at resampling; both used to rebuild
+        the namedtuple as a plain tuple, so ``state.x`` failed at the
+        second instant."""
+        engine = infer(
+            FunProbNode(State(0.0, 0), _namedtuple_step), n_particles=5,
+            method=method, seed=0, backend=backend,
+        )
+        state = engine.init()
+        for obs in (0.5, 1.0, 1.5):
+            dist, state = engine.step(state, obs)
+        assert np.isfinite(dist.mean())
+        assert all(type(p.state) is State and p.state.t == 3 for p in state)

@@ -1,5 +1,7 @@
 """Symbolic expression trees: overloading, folding, traversal, evaluation."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from repro.symbolic import (
     free_rvars,
     is_symbolic,
     map_structure,
+    rebuild_tuple,
 )
+
+Point = namedtuple("Point", "x y")
 
 
 class FakeNode:
@@ -113,6 +118,10 @@ class TestEvalExpr:
         result = eval_expr((RVar(node), [1.0, RVar(node)]), lambda n: 7.0)
         assert result == (7.0, [1.0, 7.0])
 
+    def test_namedtuple_keeps_its_type(self):
+        result = eval_expr(Point(RVar(FakeNode("x")), 2.0), lambda n: 7.0)
+        assert type(result) is Point and result.x == 7.0
+
 
 class TestMapStructure:
     def test_rebuilds_containers(self):
@@ -121,9 +130,29 @@ class TestMapStructure:
         result = map_structure((x, [1.0, {"k": x}]), lambda e: "HIT")
         assert result == ("HIT", [1.0, {"k": "HIT"}])
 
+    def test_namedtuple_keeps_its_type(self):
+        result = map_structure(Point(RVar(FakeNode("x")), 2.0), lambda e: "HIT")
+        assert type(result) is Point and result.x == "HIT"
+
     def test_whole_expressions_passed(self):
         node = FakeNode("x")
         expr = RVar(node) + 1.0
         seen = []
         map_structure((expr,), lambda e: seen.append(e))
         assert seen == [expr]
+
+
+class TestRebuildTuple:
+    def test_plain_tuple(self):
+        assert rebuild_tuple((1, 2), [3, 4]) == (3, 4)
+
+    def test_namedtuple(self):
+        result = rebuild_tuple(Point(1, 2), [3, 4])
+        assert type(result) is Point and result.y == 4
+
+    def test_other_tuple_subclass(self):
+        class Row(tuple):
+            pass
+
+        result = rebuild_tuple(Row((1, 2)), [3, 4])
+        assert type(result) is Row and result == (3, 4)
