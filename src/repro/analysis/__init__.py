@@ -13,13 +13,14 @@ hard way:
   projections, mv-affine, Beta–Bernoulli, Gamma–Poisson,
   Dirichlet–Categorical), and does control flow stay in lockstep
   across particles?
-* **Lint** — machine-readable diagnostics (``REP001``–``REP009``) via
+* **Lint** — machine-readable diagnostics (``REP001``–``REP010``) via
   the :mod:`repro.analysis.lint` API and the ``replint`` CLI.
 
 Two front ends feed one backend: :func:`analyze_model` interprets
 Python step functions abstractly, :func:`analyze_program` /
-:func:`analyze_node` walk compiled kernel-AST programs, and both hand
-each abstract instant to the shared verdict backend of
+:func:`analyze_node` walk compiled kernel-AST programs (and
+:func:`analyze_model` sends a compiled surface node there), and both
+hand each abstract instant to the shared verdict backend of
 :mod:`repro.analysis.verdict`, which returns a :class:`ModelAnalysis`.
 :func:`analysis_for` adds caching and :func:`consult_for_backend` turns
 the verdict into a routing decision for ``infer(..., backend="auto")``.
@@ -48,6 +49,7 @@ from repro.analysis.report import (
     SYMBOLIC_BRANCH,
     UNBOUNDED_MEMORY,
     UNGUARDED_LAST,
+    UNLIFTABLE_OUTPUT,
     UNREACHABLE_INIT,
     UNUSED_OBSERVE,
     Diagnostic,
@@ -95,4 +97,5 @@ __all__ = [
     "UNGUARDED_LAST",
     "DANGLING_RV",
     "SYMBOLIC_BRANCH",
+    "UNLIFTABLE_OUTPUT",
 ]

@@ -11,7 +11,9 @@ the shared :class:`~repro.analysis.verdict.Analyzer`.
 
 Models whose code uses constructs the interpreter does not model
 (unbounded loops, unknown calls receiving random variables, missing
-source) yield ``conclusive=False``.
+source) yield ``conclusive=False``. A compiled surface node is not
+interpreted here: :func:`analyze_model` hands its kernel program to
+the kernel-AST front end.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.core_ast import analyze_node
 from repro.analysis.report import ModelAnalysis, Site
 from repro.analysis.verdict import (
     DIST_FAMILIES,
@@ -45,6 +48,7 @@ from repro.analysis.verdict import (
     join,
     rvs,
 )
+from repro.core.compiled import CompiledProbNode
 
 __all__ = ["analyze_model"]
 
@@ -234,6 +238,7 @@ class _ModelAnalyzer(Analyzer, ast.NodeVisitor):
             out = ret.value
         if not isinstance(out, AbsTuple) or len(out.elems) != 2:
             raise Inconclusive("step does not return an (output, state) pair")
+        self.output(out.elems[0], self.model_site)
         self.shape = out.elems[1]
         return _flatten_state(self.shape)
 
@@ -635,8 +640,16 @@ class _ModelAnalyzer(Analyzer, ast.NodeVisitor):
 def analyze_model(model: Any) -> ModelAnalysis:
     """Statically analyze a :class:`~repro.runtime.node.ProbNode` instance.
 
+    A compiled surface node that holds its kernel program
+    (:class:`~repro.core.compiled.CompiledProbNode`) is analyzed there,
+    by :func:`~repro.analysis.core_ast.analyze_node`: its generated muF
+    code is opaque to this front end. Every other model is interpreted
+    from its ``step`` source.
+
     Returns a :class:`~repro.analysis.report.ModelAnalysis`. Never
     raises for analysis-related reasons: models the interpreter cannot
     see through come back with ``conclusive=False`` and a ``reason``.
     """
+    if isinstance(model, CompiledProbNode) and model.program is not None:
+        return analyze_node(model.program, model.name, prepared=True)
     return analyze_safely(type(model).__name__, lambda: _ModelAnalyzer(model))

@@ -108,7 +108,7 @@ class _NodeAnalyzer(Analyzer):
     def instant(self, state: Dict[str, AbsVal]) -> Dict[str, AbsVal]:
         self.state, self.next_state = state, {}
         env = {p: AbsInput(path=p) for p in self.decl.param}
-        self.eval(self.decl.body, env, scope="", depth=0)
+        self.output(self.eval(self.decl.body, env, scope="", depth=0), self.site())
         return self.next_state
 
     def slot_name(self, key: str) -> str:

@@ -50,6 +50,10 @@ code        severity  meaning
 ``REP009``  error     symbolic branch: control flow on a symbolic value
                       — raises at runtime under every delayed sampler;
                       force it with ``value()`` first
+``REP010``  warning   unliftable output: the step returns a tuple, which
+                      the batched engines would stack as one array they
+                      cannot tell apart from per-particle rows — the
+                      model runs on the scalar engines
 ==========  ========  ====================================================
 """
 
@@ -76,6 +80,7 @@ __all__ = [
     "UNGUARDED_LAST",
     "DANGLING_RV",
     "SYMBOLIC_BRANCH",
+    "UNLIFTABLE_OUTPUT",
 ]
 
 UNBOUNDED_MEMORY = "REP001"
@@ -87,6 +92,7 @@ UNREACHABLE_INIT = "REP006"
 UNGUARDED_LAST = "REP007"
 DANGLING_RV = "REP008"
 SYMBOLIC_BRANCH = "REP009"
+UNLIFTABLE_OUTPUT = "REP010"
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -100,6 +106,7 @@ DIAGNOSTIC_CODES = {
     UNGUARDED_LAST: "unguarded-last",
     DANGLING_RV: "dangling-rv",
     SYMBOLIC_BRANCH: "symbolic-branch",
+    UNLIFTABLE_OUTPUT: "unliftable-output",
 }
 
 

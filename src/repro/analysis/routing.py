@@ -19,8 +19,9 @@ decisions are visible next to its fallbacks::
     repro_analysis_verdicts_total{verdict="inconclusive"}          3
 
 The cache is per *model configuration* (class + constructor attribute
-values), not per instance: analyzing is cheap (a few ms) but
-``infer()`` may be called per stream session, thousands of times.
+values; for a compiled surface node, its module's step closure), not
+per instance: analyzing is cheap (a few ms) but ``infer()`` may be
+called per stream session, thousands of times.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.absint import analyze_model
 from repro.analysis.report import ModelAnalysis
+from repro.core.compiled import CompiledProbNode
 
 __all__ = [
     "analysis_for",
@@ -57,10 +59,14 @@ def _cache_key(model: Any) -> Optional[Tuple]:
     """A structural key: class plus constructor-attribute reprs.
 
     Two instances of the same class with the same attributes have the
-    same step dataflow, so they share one analysis. Models with exotic
-    attribute sets (unreprable, unhashable, huge) fall back to uncached
-    analysis.
+    same step dataflow, so they share one analysis. A compiled surface
+    node is keyed by its step closure, which its module builds once per
+    node name, so every ``prob_node(name)`` of one module shares one
+    analysis. Models with exotic attribute sets (unreprable, unhashable,
+    huge) fall back to uncached analysis.
     """
+    if isinstance(model, CompiledProbNode):
+        return (type(model), model._step)
     try:
         attrs = vars(model)
     except TypeError:

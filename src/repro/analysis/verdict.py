@@ -24,8 +24,9 @@ Everything that happens after one instant is done here, once:
   :data:`~repro.vectorized.sds_graph.FAMILY_KERNELS`;
 * edge linking against the batched conjugacy kernels (``REP003``
   marks a predicted realize-and-continue site), sample/observe/value
-  bookkeeping (``REP005``) and the branch verdict (``REP002`` for a
-  branch on a per-particle value, ``REP009`` on a symbolic one);
+  bookkeeping (``REP005``), the branch verdict (``REP002`` for a
+  branch on a per-particle value, ``REP009`` on a symbolic one) and
+  the output check (``REP010``);
 * the :class:`~repro.analysis.report.ModelAnalysis` assembly.
 
 Slot keys may be any hashable value: the Python front end uses tuple
@@ -45,6 +46,7 @@ from repro.analysis.report import (
     NONCONJUGATE_EDGE,
     SYMBOLIC_BRANCH,
     UNBOUNDED_MEMORY,
+    UNLIFTABLE_OUTPUT,
     UNUSED_OBSERVE,
     Diagnostic,
     EdgeInfo,
@@ -384,7 +386,7 @@ class Analyzer:
     :meth:`slot_site` and :meth:`lints`. While evaluating an instant it calls
     :meth:`sample`, :meth:`observe`, :meth:`value`,
     :meth:`branch_verdict` and :meth:`both_arms`, which fill
-    ``self.record``.
+    ``self.record``, and :meth:`output` on the instant's output.
     """
 
     def __init__(self, name: str, site: Site):
@@ -457,6 +459,20 @@ class Analyzer:
         if is_concrete(val):
             return val
         return AbsDerived(forced=True, inputy=flag(val, "inputy"))
+
+    def output(self, val: AbsVal, site: Site) -> None:
+        """The instant's output ``val``. The scalar engines lift a tuple
+        output as a product of marginals; the batched engines stack it
+        as one array, which they cannot tell apart from per-particle
+        rows, so a tuple output keeps the model off them (REP010)."""
+        if isinstance(val, AbsTuple):
+            self.diag(
+                UNLIFTABLE_OUTPUT,
+                "the output is a tuple — the batched backend cannot lift "
+                "it (scalar engines still can)",
+                site,
+            )
+            self.batchable_ok = False
 
     def branch_verdict(self, cond: AbsVal, site: Site) -> Optional[bool]:
         """The arm a branch on ``cond`` takes, or None when both arms

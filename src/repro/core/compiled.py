@@ -37,11 +37,26 @@ class CompiledDetNode(Node):
 
 
 class CompiledProbNode(ProbNode):
-    """A compiled probabilistic node (kind P): a model for ``infer``."""
+    """A compiled probabilistic node (kind P): a model for ``infer``.
 
-    def __init__(self, init_value: Any, step_closure: Closure):
+    ``program`` is the prepared kernel program the node was compiled
+    from and ``name`` the node's name in it. The static analysis reads
+    the node's dataflow there (:func:`repro.analysis.analyze_model`),
+    because the generated muF code hides it. A pickled (or copied) node
+    leaves both behind — workers only step it — so its copy has neither.
+    """
+
+    def __init__(
+        self,
+        init_value: Any,
+        step_closure: Closure,
+        program: Optional[Program],
+        name: Optional[str],
+    ):
         self._init_value = init_value
         self._step = step_closure
+        self.program = program
+        self.name = name
 
     def init(self) -> Any:
         return self._init_value
@@ -50,13 +65,24 @@ class CompiledProbNode(ProbNode):
         value, next_state = self._step((state, inp), ctx)
         return value, next_state
 
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"_init_value": self._init_value, "_step": self._step}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state, program=None, name=None)
+
 
 class CompiledModule:
-    """The evaluated muF image of a program: a namespace of nodes."""
+    """The evaluated muF image of a program: a namespace of nodes.
 
-    def __init__(self, env: Dict[str, Any], kinds: Dict[str, str]):
+    It keeps the prepared kernel program the image was compiled from;
+    :meth:`prob_node` hands it to each node it instantiates.
+    """
+
+    def __init__(self, env: Dict[str, Any], kinds: Dict[str, str], program: Program):
         self._env = env
         self._kinds = kinds
+        self._program = program
 
     def node_names(self):
         """Names of the nodes defined by the program."""
@@ -77,7 +103,9 @@ class CompiledModule:
     def prob_node(self, name: str) -> CompiledProbNode:
         """Instantiate a node as a probabilistic model (D lifts to P)."""
         self._check(name)
-        return CompiledProbNode(self._env[f"{name}_init"], self._env[f"{name}_step"])
+        return CompiledProbNode(
+            self._env[f"{name}_init"], self._env[f"{name}_step"], self._program, name
+        )
 
     def _check(self, name: str) -> None:
         if name not in self._kinds:
@@ -94,4 +122,4 @@ def load(program: Program, muf_program: Optional[MuFProgram] = None) -> Compiled
     if muf_program is None:
         muf_program = compile_program(prepared, prepared=True)
     env = eval_program(muf_program)
-    return CompiledModule(env, kinds)
+    return CompiledModule(env, kinds, prepared)

@@ -94,6 +94,17 @@ class Flip(ProbNode):
         return out, None
 
 
+class Pair(ProbNode):
+    def init(self):
+        return None
+
+    def step(self, state, y, ctx: ProbCtx):
+        x = ctx.sample(gaussian(0.0 if state is None else state, 1.0))
+        v = ctx.sample(gaussian(x, 2.0))
+        ctx.observe(gaussian(v, 1.0), y)
+        return (x, v), x
+
+
 PAIRS = [
     (
         "hmm",
@@ -160,6 +171,16 @@ let node flip y = out where
   and () = observe (gaussian (out, 1.), y)
 """,
         Flip,
+    ),
+    (
+        "pair",
+        """
+let node pair y = (x, v) where
+  rec x = sample (gaussian (0. -> pre x, 1.))
+  and v = sample (gaussian (x, 2.))
+  and () = observe (gaussian (v, 1.), y)
+""",
+        Pair,
     ),
 ]
 

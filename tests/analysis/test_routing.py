@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import UNLIFTABLE_OUTPUT, analyze_model, analyze_node
 from repro.analysis.routing import (
     analysis_for,
     clear_analysis_cache,
@@ -18,10 +19,17 @@ from repro.bench.models import (
     OutlierModel,
     WalkModel,
 )
+from repro.bench.paper_sources import HMM_SOURCE, PAPER_SOURCES, load_paper_node
 from repro.bench.robot import RobotModel
+from repro.core import load
 from repro.errors import InferenceError
+from repro.frontend import parse_program
 from repro.inference import infer
-from repro.inference.engine import StreamingDelayedSampler
+from repro.inference.engine import (
+    OriginalDelayedSampler,
+    ParticleFilter,
+    StreamingDelayedSampler,
+)
 from repro.lang import bernoulli, gaussian
 from repro.obs import metrics_snapshot
 from repro.runtime.node import FunProbNode, ProbCtx, ProbNode
@@ -211,6 +219,171 @@ class TestAnalysisCache:
         a1 = analysis_for(KalmanModel())
         a2 = analysis_for(KalmanModel(prior_mean=5.0))
         assert a1 is not a2
+
+
+class TestCompiledNodes:
+    """A compiled surface node is analyzed from its kernel program."""
+
+    @pytest.mark.parametrize("name", sorted(PAPER_SOURCES))
+    def test_verdict_is_the_kernel_ast_verdict(self, name):
+        compiled = analyze_model(load_paper_node(name))
+        direct = analyze_node(parse_program(PAPER_SOURCES[name]), name)
+        assert compiled.verdict == direct.verdict == "batchable"
+        assert compiled.families == direct.families
+        assert compiled.bounded == direct.bounded
+
+    def test_one_module_costs_one_cold_analysis(self, monkeypatch):
+        import repro.analysis.routing as routing_mod
+
+        cold = []
+
+        def counting(model):
+            cold.append(model)
+            return analyze_model(model)
+
+        monkeypatch.setattr(routing_mod, "analyze_model", counting)
+        clear_analysis_cache()
+        module = load(parse_program(HMM_SOURCE))
+        first = analysis_for(module.prob_node("hmm"))
+        second = analysis_for(module.prob_node("hmm"))
+        assert first is second
+        assert len(cold) == 1
+
+    @pytest.mark.parametrize(
+        "method,backend,engine_cls",
+        [
+            ("pf", "auto", ParticleFilter),
+            ("ds", "auto", OriginalDelayedSampler),
+            ("sds", "vectorized", StreamingDelayedSampler),
+        ],
+    )
+    def test_other_routes_stay_scalar(self, method, backend, engine_cls):
+        engine = infer(
+            load_paper_node("hmm"), n_particles=4, method=method, backend=backend
+        )
+        assert type(engine) is engine_cls
+
+
+class TupleOutput(ProbNode):
+    """Returns a tuple holding two random variables."""
+
+    def init(self):
+        return 0.0
+
+    def step(self, state, yobs, ctx: ProbCtx):
+        x = ctx.sample(gaussian(state, 1.0))
+        v = ctx.sample(gaussian(x, 2.0))
+        ctx.observe(gaussian(v, 1.0), yobs)
+        return (x, v), x
+
+
+class ForcedTupleOutput(ProbNode):
+    """Returns a tuple holding a forced value."""
+
+    def init(self):
+        return 0.0
+
+    def step(self, state, yobs, ctx: ProbCtx):
+        x = ctx.sample(gaussian(state, 1.0))
+        v = ctx.sample(gaussian(x, 2.0))
+        ctx.observe(gaussian(v, 1.0), yobs)
+        return (ctx.value(x), 1.0), x
+
+
+class SharedTupleOutput(ProbNode):
+    """Returns a tuple every particle shares."""
+
+    def init(self):
+        return 0.0
+
+    def step(self, state, yobs, ctx: ProbCtx):
+        x = ctx.sample(gaussian(state, 1.0))
+        ctx.observe(gaussian(x, 1.0), yobs)
+        return (yobs, 1.0), x
+
+
+TUPLE_SOURCE = """
+let node p y = (x, v) where
+  rec x = sample (gaussian (0. -> pre x, 1.))
+  and v = sample (gaussian (x, 2.))
+  and () = observe (gaussian (v, 1.), y)
+"""
+
+# shared nested pairs: the first has a mean, the second is ragged
+NESTED_SOURCE = """
+let node q y = ((y, 1.), (2., 3.)) where
+  rec x = sample (gaussian (0. -> pre x, 1.))
+  and () = observe (gaussian (x, 1.), y)
+"""
+
+RAGGED_SOURCE = """
+let node r y = ((y, 1.), 2.) where
+  rec x = sample (gaussian (0. -> pre x, 1.))
+  and () = observe (gaussian (x, 1.), y)
+"""
+
+TUPLE_MODELS = {
+    "random-variables": TupleOutput,
+    "forced-value": ForcedTupleOutput,
+    "shared": SharedTupleOutput,
+    "surface": lambda: load(parse_program(TUPLE_SOURCE)).prob_node("p"),
+    "surface-nested": lambda: load(parse_program(NESTED_SOURCE)).prob_node("q"),
+    "surface-ragged": lambda: load(parse_program(RAGGED_SOURCE)).prob_node("r"),
+}
+
+
+class TestUnliftableOutput:
+    """The batched engines stack a tuple output as one array, which they
+    cannot tell apart from per-particle rows, so a tuple output keeps
+    the model on the scalar engines (REP010), which lift it as a
+    product of marginals."""
+
+    @pytest.mark.parametrize("kind", sorted(TUPLE_MODELS))
+    def test_flagged_unbatchable(self, kind):
+        analysis = analyze_model(TUPLE_MODELS[kind]())
+        assert analysis.conclusive, analysis.reason
+        assert not analysis.batchable
+        assert UNLIFTABLE_OUTPUT in {d.code for d in analysis.diagnostics}
+
+    @staticmethod
+    def _run(model, n, method, backend, query):
+        engine = infer(
+            model, n_particles=n, method=method, seed=2, backend=backend
+        )
+        state, out = engine.init(), []
+        for yobs in (0.3, 1.0, -0.5):
+            dist, state = engine.step(state, yobs)
+            out.append(query(dist))
+        return type(engine), out
+
+    @pytest.mark.parametrize("method", ["sds", "bds"])
+    @pytest.mark.parametrize("n", [2, 100])
+    @pytest.mark.parametrize("kind", sorted(set(TUPLE_MODELS) - {"surface-ragged"}))
+    def test_auto_matches_scalar(self, kind, n, method):
+        """Two particles match a two-component tuple: a stacked output
+        would pass as one value per particle."""
+
+        def means(backend):
+            _, out = self._run(
+                TUPLE_MODELS[kind](), n, method, backend,
+                lambda dist: dist.mean(),
+            )
+            return np.asarray(out)
+
+        assert np.array_equal(means("auto"), means("scalar"))
+
+    @pytest.mark.parametrize("method", ["sds", "bds"])
+    def test_ragged_output_runs_scalar(self, method):
+        """A ragged tuple has no mean; ``auto`` must run the scalar
+        engine and give its draws."""
+
+        def draws(backend):
+            return self._run(
+                TUPLE_MODELS["surface-ragged"](), 2, method, backend,
+                lambda dist: dist.sample(np.random.default_rng(0)),
+            )
+
+        assert draws("auto") == draws("scalar")
 
 
 class TestRegistrationVerification:

@@ -3,7 +3,9 @@
 A compiled node carries Python code generated from its muF image, which
 does not pickle; process executors pickle the model into their workers,
 so the node must travel as its muF terms and regenerate its code there.
-Posteriors must stay bit-identical to the serial run.
+Posteriors must stay bit-identical to the serial run, on the scalar
+engines (``backend="scalar"``) and on the batched graph engine that
+``backend="auto"`` picks for sds and bds.
 """
 
 import pickle
@@ -11,12 +13,15 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.bench.paper_sources import load_paper_node
+from repro.bench.paper_sources import PAPER_SOURCES, load_paper_node
+from repro.core.compiled import CompiledProbNode
 from repro.exec import shutdown_executors
 from repro.inference import infer
 from repro.inference.contexts import SamplingCtx
+from repro.vectorized import VectorizedGaussianChainSDS
 
 OBSERVATIONS = [0.3, 1.1, 0.4, 2.0, 1.7, 2.9, 2.2, 3.5]
+FLIPS = [True, False, True, True, False, True, True, True]
 EXECUTORS = ["threads:2", "processes:2", "processes-persistent:2"]
 
 
@@ -59,3 +64,36 @@ def test_unpickled_node_steps_identically(serial_means):
         out_b, state_b = copy.step(state_b, obs, ctx_b)
         assert out_a == out_b and state_a == state_b
     assert ctx_a.log_weight == ctx_b.log_weight
+
+
+def test_pickled_node_carries_no_program():
+    """Workers only step a node, so its kernel program stays behind and
+    every shard task pickles exactly what a program-less node does."""
+    node = load_paper_node("hmm")
+    assert node.program is not None
+    bare = CompiledProbNode(node.init(), node._step, None, None)
+    assert pickle.dumps(node) == pickle.dumps(bare)
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy.program is None and copy.name is None
+
+
+def batched_means(name, method, executor):
+    engine = infer(
+        load_paper_node(name), n_particles=16, method=method, seed=11,
+        backend="auto", executor=executor,
+    )
+    assert isinstance(engine, VectorizedGaussianChainSDS)
+    state = engine.init()
+    means = []
+    for obs in FLIPS if name == "coin" else OBSERVATIONS:
+        dist, state = engine.step(state, obs)
+        means.append(dist.mean())
+    return np.asarray(means)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("method", ["sds", "bds"])
+@pytest.mark.parametrize("name", sorted(PAPER_SOURCES))
+def test_batched_executor_matches_serial(name, method, executor):
+    serial = batched_means(name, method, "serial")
+    assert np.array_equal(batched_means(name, method, executor), serial)
