@@ -34,6 +34,7 @@ whose results are identical for any worker count.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -71,7 +72,12 @@ from repro.inference.particles import (
     clone_state_concrete,
     state_words,
 )
-from repro.inference.resampling import RESAMPLERS, ess, normalize_log_weights
+from repro.inference.resampling import (
+    RESAMPLERS,
+    committed_log_weights,
+    ess,
+    normalize_log_weights,
+)
 from repro.obs.spans import TELEMETRY
 from repro.runtime.node import Node, ProbNode
 from repro.symbolic import free_rvars
@@ -97,6 +103,9 @@ class InferenceEngine(Node):
     ``"systematic"`` (the default), ``"stratified"``, ``"multinomial"``,
     or ``"residual"`` (deterministic copies of ``floor(n*w_i)`` per
     particle, multinomial on the fractional remainder).
+    ``resample_threshold`` is the ESS fraction below which it triggers:
+    ``None`` resamples at every instant, as does any value above 1, and
+    ``0`` never resamples.
 
     ``executor`` selects where the per-shard work of a step runs
     (``"serial"``, ``"threads:N"``, ``"processes:N"``,
@@ -141,6 +150,14 @@ class InferenceEngine(Node):
         if resampler not in RESAMPLERS:
             raise InferenceError(
                 f"unknown resampler {resampler!r}; choose from {sorted(RESAMPLERS)}"
+            )
+        if resample_threshold is not None and not (
+            isinstance(resample_threshold, numbers.Real) and resample_threshold >= 0
+        ):
+            # NaN fails ``>= 0`` too: ``ess < nan`` would never resample.
+            raise InferenceError(
+                "resample_threshold must be None or a real number >= 0 "
+                f"(an ESS fraction), got {resample_threshold!r}"
             )
         if clone_on_resample not in ("all", "duplicates"):
             raise InferenceError(
@@ -220,8 +237,7 @@ class InferenceEngine(Node):
             stepped = self._resample(stepped, weights)
             timer.mark("resample")
         else:
-            for particle, logw in zip(stepped, log_weights):
-                particle.log_weight = float(logw)
+            stepped = self.shard_commit_weights(stepped, log_weights)
             timer.mark("weight_commit")
         timer.total("step")
         if not sharded:
@@ -459,8 +475,8 @@ class InferenceEngine(Node):
     def shard_commit_weights(
         self, payload: List[Particle], log_weights: np.ndarray
     ) -> List[Particle]:
-        """Worker-side: fold the step's log-weights into the particles."""
-        for particle, logw in zip(payload, log_weights):
+        """Fold the step's log-weights into the particles (NaN as -inf)."""
+        for particle, logw in zip(payload, committed_log_weights(log_weights)):
             particle.log_weight = float(logw)
         return payload
 

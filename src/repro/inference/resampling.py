@@ -18,6 +18,7 @@ from repro.obs.registry import count_event
 
 __all__ = [
     "normalize_log_weights",
+    "committed_log_weights",
     "ess",
     "systematic_indices",
     "stratified_indices",
@@ -63,6 +64,20 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     return w / total
 
 
+def committed_log_weights(log_weights: Sequence[float]) -> np.ndarray:
+    """The merged log-weights an engine carries into the next instant.
+
+    A ``NaN`` becomes ``-inf``. Both already mean zero weight, but a
+    carried ``NaN`` would reach :func:`normalize_log_weights` again on
+    every later instant and be counted and warned about each time.
+    """
+    logw = np.asarray(log_weights, dtype=float)
+    nan_mask = np.isnan(logw)
+    if nan_mask.any():
+        logw = np.where(nan_mask, -np.inf, logw)
+    return logw
+
+
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
     """The weight vector every resampler actually draws from.
 
@@ -102,12 +117,34 @@ def ess(weights: Sequence[float]) -> float:
 def systematic_indices(
     weights: Sequence[float], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Systematic resampling: one uniform offset, ``n`` evenly spaced picks."""
+    """Systematic resampling: one uniform offset, ``n`` evenly spaced picks.
+
+    Draw ``j`` sits at ``p_j = (u + j) / n`` and takes the first particle
+    whose cumulative weight reaches it, ``a_j = #{i : c_i < p_j}``: a
+    binary search per draw. Counting gives the same indices. Particle
+    ``i``'s run of draws ends at ``k_i = #{j : p_j <= c_i}``, and the
+    ancestor of draw ``j`` is the number of runs that end at or before
+    it: one ``bincount`` and one ``cumsum``. With ``r`` the integer
+    nearest the float ``n c_i - u``, whose round-off (about ``n 2**-52``)
+    is far below 1/2, every draw below ``r`` reaches ``c_i`` and every
+    draw above it does not, so ``k_i = r + [p_r <= c_i]`` exactly.
+    """
     w = _normalized_weights(weights)
-    positions = (rng.random() + np.arange(n)) / n
+    u = rng.random()
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
     cumulative = np.cumsum(w)
     cumulative[-1] = 1.0  # guard against round-off
-    return np.searchsorted(cumulative, positions).astype(int)
+    r = cumulative * n
+    r -= u
+    np.rint(r, out=r)  # r >= -1, and p_{-1} < 0 <= c_i: every k_i >= 0
+    ends = r.astype(np.intp)
+    r += u
+    r /= n  # p_r, rounded as the binary search rounds its positions
+    ends += r <= cumulative
+    # Runs that end past the last draw (k_i >= n) fall outside the slice.
+    runs_ending = np.bincount(ends, minlength=n + 1)[:n]
+    return np.cumsum(runs_ending, out=runs_ending)
 
 
 def stratified_indices(

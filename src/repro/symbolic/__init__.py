@@ -10,7 +10,6 @@ from repro.symbolic.expr import (
     eval_expr,
     free_rvars,
     is_symbolic,
-    map_structure,
     rebuild_tuple,
     register_op,
     structure_rvars,
@@ -25,7 +24,6 @@ __all__ = [
     "is_symbolic",
     "free_rvars",
     "eval_expr",
-    "map_structure",
     "rebuild_tuple",
     "register_op",
     "structure_rvars",

@@ -38,7 +38,6 @@ __all__ = [
     "is_symbolic",
     "free_rvars",
     "eval_expr",
-    "map_structure",
     "rebuild_tuple",
     "structure_rvars",
 ]
@@ -245,25 +244,6 @@ def eval_expr(value: Any, lookup: Callable[[Any], Any]) -> Any:
         return [eval_expr(v, lookup) for v in value]
     if isinstance(value, dict):
         return {k: eval_expr(v, lookup) for k, v in value.items()}
-    return value
-
-
-def map_structure(value: Any, fn: Callable[[SymExpr], Any]) -> Any:
-    """Rebuild a nested container, applying ``fn`` to every symbolic leaf.
-
-    Containers (tuples, lists, dicts) are rebuilt; symbolic expressions
-    (both :class:`RVar` and :class:`App`) are passed to ``fn`` whole. Used
-    by the inference engines to force, clone, or lift the symbolic parts
-    of a particle's state.
-    """
-    if isinstance(value, SymExpr):
-        return fn(value)
-    if isinstance(value, tuple):
-        return rebuild_tuple(value, [map_structure(v, fn) for v in value])
-    if isinstance(value, list):
-        return [map_structure(v, fn) for v in value]
-    if isinstance(value, dict):
-        return {k: map_structure(v, fn) for k, v in value.items()}
     return value
 
 

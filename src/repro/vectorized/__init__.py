@@ -140,13 +140,3 @@ __all__ = [
     "register_ds_graph_model",
     "vectorize_model",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ChainFragmentError":
-        # Deprecated alias; the sds_graph module-level shim emits the
-        # DeprecationWarning and returns ChainStructureError.
-        from repro.vectorized import sds_graph
-
-        return getattr(sds_graph, "ChainFragmentError")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -57,7 +57,7 @@ from repro.exec.population import (
 )
 from repro.exec.shm import materialize
 from repro.inference.engine import InferenceEngine
-from repro.inference.resampling import normalize_log_weights
+from repro.inference.resampling import committed_log_weights, normalize_log_weights
 from repro.obs.registry import count_event
 from repro.obs.spans import TELEMETRY
 from repro.runtime.node import ProbNode
@@ -191,8 +191,8 @@ class VectorizedEngine(InferenceEngine):
             chunks, start = [], 0
             for result, size in zip(results, sizes):
                 chunks.append(
-                    ParticleBatch(
-                        result.payload.state, log_weights[start : start + size]
+                    self.shard_commit_weights(
+                        result.payload, log_weights[start : start + size]
                     )
                 )
                 start += size
@@ -269,8 +269,8 @@ class VectorizedEngine(InferenceEngine):
     def shard_commit_weights(
         self, batch: ParticleBatch, log_weights: np.ndarray
     ) -> ParticleBatch:
-        """Worker-side: fold the step's log-weights into the batch."""
-        return ParticleBatch(batch.state, np.asarray(log_weights, dtype=float))
+        """Fold the step's log-weights into the batch (NaN as -inf)."""
+        return ParticleBatch(batch.state, committed_log_weights(log_weights))
 
     def memory_words(self, state: Union[ParticleBatch, ShardedPopulation]) -> int:
         if isinstance(state, ResidentPopulation):

@@ -205,20 +205,6 @@ class ChainStructureError(GraphError):
         self.reason = reason
 
 
-def __getattr__(name: str):
-    if name == "ChainFragmentError":
-        # The PR-4-era alias, kept importable one release as a shim.
-        import warnings
-
-        warnings.warn(
-            "ChainFragmentError is deprecated; use ChainStructureError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ChainStructureError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ----------------------------------------------------------------------
 # per-family SoA kernels (the pluggable dispatch table)
 # ----------------------------------------------------------------------

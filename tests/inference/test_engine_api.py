@@ -114,6 +114,43 @@ class TestResamplingConfig:
         assert np.isfinite(dist.mean())
 
 
+class TestResampleThresholdValidation:
+    """``resample_threshold`` is None or a real number >= 0, checked when
+    the engine is built. NaN and negative values used to be accepted and
+    then never resampled; a string failed only at the first step."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_nan_rejected(self, backend):
+        with pytest.raises(InferenceError, match="resample_threshold"):
+            infer(KalmanModel(), backend=backend, resample_threshold=float("nan"))
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_negative_rejected(self, backend):
+        with pytest.raises(InferenceError, match="resample_threshold"):
+            infer(KalmanModel(), backend=backend, resample_threshold=-0.5)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    def test_string_rejected(self, backend):
+        with pytest.raises(InferenceError, match="resample_threshold"):
+            infer(KalmanModel(), backend=backend, resample_threshold="0.5")
+
+    @pytest.mark.parametrize("threshold", [None, 0, 0.0, 0.5, 1, np.float64(0.25)])
+    def test_accepted(self, threshold):
+        engine = infer(KalmanModel(), n_particles=4, resample_threshold=threshold)
+        assert engine.resample_threshold == threshold
+
+    @pytest.mark.parametrize("threshold", [1.1, 1e9])
+    def test_above_one_resamples_every_instant(self, threshold):
+        engine = infer(
+            KalmanModel(), n_particles=10, method="pf", seed=0,
+            resample_threshold=threshold,
+        )
+        state = engine.init()
+        for obs in (1.0, 2.0, 3.0):
+            _, state = engine.step(state, obs)
+            assert all(p.log_weight == 0.0 for p in state)
+
+
 class TestSharedRng:
     def test_external_rng_accepted(self):
         rng = np.random.default_rng(0)

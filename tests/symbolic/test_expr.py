@@ -13,7 +13,6 @@ from repro.symbolic import (
     eval_expr,
     free_rvars,
     is_symbolic,
-    map_structure,
     rebuild_tuple,
 )
 
@@ -121,25 +120,6 @@ class TestEvalExpr:
     def test_namedtuple_keeps_its_type(self):
         result = eval_expr(Point(RVar(FakeNode("x")), 2.0), lambda n: 7.0)
         assert type(result) is Point and result.x == 7.0
-
-
-class TestMapStructure:
-    def test_rebuilds_containers(self):
-        node = FakeNode("x")
-        x = RVar(node)
-        result = map_structure((x, [1.0, {"k": x}]), lambda e: "HIT")
-        assert result == ("HIT", [1.0, {"k": "HIT"}])
-
-    def test_namedtuple_keeps_its_type(self):
-        result = map_structure(Point(RVar(FakeNode("x")), 2.0), lambda e: "HIT")
-        assert type(result) is Point and result.x == "HIT"
-
-    def test_whole_expressions_passed(self):
-        node = FakeNode("x")
-        expr = RVar(node) + 1.0
-        seen = []
-        map_structure((expr,), lambda e: seen.append(e))
-        assert seen == [expr]
 
 
 class TestRebuildTuple:

@@ -1,6 +1,6 @@
 """The PR-8 conjugacy families and the per-slot degradation ladder.
 
-Four layers of checks:
+Three layers of checks:
 
 * scalar-vs-vectorized posterior equivalence for the Gamma-Poisson and
   Dirichlet-Categorical families at a fixed seed (the sds conjugate
@@ -12,9 +12,7 @@ Four layers of checks:
   on ONE slot at step k realizes only that slot (node-state array
   inspection + ``repro_slot_realizations_total``), keeps the other
   slots symbolic, never migrates to ``ScalarFallbackState``, and stays
-  accurate (MSE harness);
-* the deprecated ``ChainFragmentError`` alias warns and resolves to
-  ``ChainStructureError``.
+  accurate (MSE harness).
 """
 
 import warnings
@@ -225,23 +223,6 @@ class TestRealizeAndContinueRegression:
             and "OneBadSlotAtK" in name
             for name in snapshot["counters"]
         )
-
-
-class TestDeprecatedAlias:
-    def test_chain_fragment_error_warns_and_aliases(self):
-        from repro.vectorized import sds_graph
-
-        with pytest.warns(DeprecationWarning, match="ChainFragmentError"):
-            alias = sds_graph.ChainFragmentError
-        assert alias is sds_graph.ChainStructureError
-
-    def test_package_level_alias_warns_too(self):
-        import repro.vectorized as vec
-
-        with pytest.warns(DeprecationWarning, match="ChainFragmentError"):
-            alias = vec.ChainFragmentError
-        assert alias is vec.ChainStructureError
-        assert "ChainFragmentError" not in vec.__all__
 
 
 class TestMixtureArrays:
