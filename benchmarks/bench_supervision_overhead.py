@@ -8,9 +8,9 @@ configured, the supervised build must step at the pre-supervision
 build's latency.
 
 * the **disabled** sweep re-measures the committed ``BENCH_PR7.json``
-  latency cells (``pf``, ``pf@scalar@processes:4``,
-  ``pf@scalar@processes-persistent:4`` on the Fig. 2 HMM at 10k
-  particles) with faults off and deadlines unset, and writes
+  latency cells (``pf`` and ``pf@scalar@processes-persistent:4`` on
+  the Fig. 2 HMM at 10k particles) with faults off and deadlines
+  unset, and writes
   ``bench-supervision.json``; CI gates it against the committed
   baseline with ``check_perf_regression.py --threshold 0.02`` — the
   supervised build may not regress more than 2% (drift-corrected)
@@ -44,11 +44,7 @@ from conftest import emit
 PARTICLES = 10_000
 WORKERS = 4
 MULTICORE = (os.cpu_count() or 1) >= 2
-SPECS = [
-    "pf",
-    f"pf@scalar@processes:{WORKERS}",
-    f"pf@scalar@processes-persistent:{WORKERS}",
-]
+SPECS = ["pf", f"pf@scalar@processes-persistent:{WORKERS}"]
 #: ceiling on the armed-deadline overhead factor for the persistent
 #: cell. The measured factor is ~1.0 (the deadline adds one monotonic()
 #: read and a dict insert per command); the bar leaves room for noisy

@@ -55,7 +55,6 @@ from repro.errors import (
 from repro.exec import (
     Executor,
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     ResidentPopulation,
     SerialExecutor,
     ShardedPopulation,
@@ -145,7 +144,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
     "PersistentProcessExecutor",
     "ShardedPopulation",
     "ResidentPopulation",

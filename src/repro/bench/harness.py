@@ -19,14 +19,13 @@ Every ``methods`` entry is a *method spec*: a plain engine name
 execution backend, or ``"<method>@<backend>@<executor>"`` additionally
 selecting the execution layer — e.g. ``"pf@vectorized"`` runs the
 particle filter on the structure-of-arrays engines of
-:mod:`repro.vectorized`, ``"pf@scalar@processes:4"`` runs the scalar
-particle filter sharded over four worker processes, and
-``"pf@scalar@processes-persistent:4"`` keeps those shards resident in
-the workers across steps. This is how the drivers compare substrates
-and executors in a single sweep. Executor instances named by specs are
-cached process-wide; call
-:func:`repro.exec.executor.shutdown_executors` after a sweep to
-release their worker pools.
+:mod:`repro.vectorized`, ``"pf@scalar@threads:4"`` runs the scalar
+particle filter sharded over four threads, and
+``"pf@scalar@processes-persistent:4"`` over four worker processes that
+keep their shards resident across steps. One sweep can thus compare
+substrates and executors. Executor instances named by specs are cached
+process-wide; call :func:`repro.exec.executor.shutdown_executors` after
+a sweep to release their worker pools.
 
 Every driver also accepts ``engine_kwargs``, a dict forwarded to the
 engine constructor, so sweeps can compare engine configurations

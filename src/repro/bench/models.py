@@ -395,8 +395,9 @@ register_ds_graph_model(HmmModel)
 # observation, and the Beta→Bernoulli branch becomes batched conjugate
 # slots beside the Gaussian position chain. The retired bespoke
 # VectorizedOutlierSDS engine survives only as the equivalence oracle in
-# the test suite. Coin's bounded delayed sampling rides the same graph
-# (its exact SDS stays with the closed-form Beta-Bernoulli engine above).
+# tests/vectorized/outlier_oracle.py. Coin's bounded delayed sampling
+# rides the same graph (its exact SDS stays with the closed-form
+# Beta-Bernoulli engine above).
 register_ds_graph_model(OutlierModel, adapter=GraphOutlierModel)
 register_ds_graph_model(CoinModel)
 # The PR-8 conjugacy families ride the same generic graph: Gamma-Poisson

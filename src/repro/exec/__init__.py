@@ -6,10 +6,10 @@ plan — map the step over population shards, merge the weight vectors,
 resample at a barrier — and this package owns that plan:
 
 * :class:`Executor` and its implementations (:class:`SerialExecutor`,
-  :class:`ThreadShardExecutor`, :class:`ProcessShardExecutor`,
-  :class:`PersistentProcessExecutor` — the worker-resident mode, where
-  shards stay loaded in long-lived workers and only commands cross the
-  process boundary) decide where shard tasks run,
+  :class:`ThreadShardExecutor`, and :class:`PersistentProcessExecutor`
+  — the one process executor, where shards stay loaded in long-lived
+  workers and only commands cross the process boundary) decide where
+  shard tasks run,
 * :class:`ShardedPopulation` fixes the deterministic partition: shard
   count and per-shard ``SeedSequence`` substreams are independent of
   the executor, so any worker count reproduces the serial posterior
@@ -20,14 +20,13 @@ resample at a barrier — and this package owns that plan:
 Select it through the public API::
 
     from repro import infer
-    engine = infer(model, n_particles=10_000, executor="processes:4")
+    engine = infer(model, n_particles=10_000, executor="processes-persistent:4")
 """
 
 from repro.exec.executor import (
     EXECUTORS,
     Executor,
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     SerialExecutor,
     ThreadShardExecutor,
     default_workers,
@@ -62,7 +61,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
     "PersistentProcessExecutor",
     "EXECUTORS",
     "parse_executor",

@@ -1,9 +1,9 @@
 """Executors: where the shards of one inference step actually run.
 
 An :class:`Executor` schedules the map phase of a sharded inference
-step — apply one picklable task to every shard, collect the results in
-shard order. The executor decides *where* the work runs (inline, a
-thread pool, a process pool) but never *what* is computed: shard
+step — apply one task to every shard, collect the results in shard
+order. The executor decides *where* the work runs (inline, a thread
+pool, long-lived worker processes) but never *what* is computed: shard
 payloads are disjoint, each shard advances its own
 :class:`numpy.random.Generator` substream, and the merge / resample
 barrier happens in the caller. Results are therefore bit-for-bit
@@ -12,28 +12,28 @@ partitioning idea of Bobpp-style parallel search, applied to a particle
 population.
 
 :class:`PersistentProcessExecutor` (``"processes-persistent:N"``) is
-the worker-resident variant: its workers hold their shard — payload
-plus RNG substream — in-process across steps, so per-step traffic is
-command messages (step input out, per-shard weight vectors and outputs
-back) instead of full-population pickles, and the resample barrier
-ships only the global ancestor indices plus the few particles that
-actually migrate between shards. The array payloads themselves travel
-through one shared-memory ring per worker *per direction*
-(:mod:`repro.exec.shm`) when the platform offers it — replies as
-zero-copy read-only views, commands (inputs, exchange plans, replayed
-checkpoints) as descriptors — so a steady-state no-resample step moves
-zero pickled payload bytes over the pipe. The pickle path is kept as an
+the one process executor, and it is worker-resident: its workers hold
+their shard — payload plus RNG substream — in-process across steps, so
+per-step traffic is command messages (step input out, per-shard weight
+vectors and outputs back) instead of full-population pickles, and the
+resample barrier ships only the global ancestor indices plus the few
+particles that actually migrate between shards. The array payloads
+themselves travel through one shared-memory ring per worker *per
+direction* (:mod:`repro.exec.shm`) when the platform offers it —
+replies as zero-copy read-only views, commands (inputs, exchange plans,
+replayed checkpoints) as descriptors — so a steady-state no-resample
+step moves zero pickled payload bytes over the pipe. The pickle path is kept as an
 automatic, metered fallback — pass ``shm_bytes=0`` (or set the
 ``REPRO_SHM_BYTES`` environment variable) to disable both rings.
 
 Executors are selected by spec string (``"serial"``, ``"threads:4"``,
-``"processes:2"``, ``"processes-persistent:4"``) through
-:func:`parse_executor`, which caches one instance per spec so every
-engine built from the same spec shares one pool (a sweep over
-``"pf@scalar@processes:4"`` spins up four workers once, not once per
-run). :func:`shutdown_executors` (also registered via :mod:`atexit`)
-closes every cached executor and clears the cache, so sweeps and test
-runs do not accumulate worker processes.
+``"processes-persistent:4"``) through :func:`parse_executor`, which
+caches one instance per spec so every engine built from the same spec
+shares one pool (a sweep over ``"pf@scalar@processes-persistent:4"``
+spins up four workers once, not once per run).
+:func:`shutdown_executors` (also registered via :mod:`atexit`) closes
+every cached executor and clears the cache, so sweeps and test runs do
+not accumulate worker processes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import os
 import pickle
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait as _connection_wait
 from time import monotonic, perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -73,7 +73,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadShardExecutor",
-    "ProcessShardExecutor",
     "PersistentProcessExecutor",
     "EXECUTORS",
     "parse_executor",
@@ -130,8 +129,13 @@ class SerialExecutor(Executor):
         return "SerialExecutor()"
 
 
-class _PooledExecutor(Executor):
-    """Shared lazy-pool behaviour of the thread and process executors."""
+class ThreadShardExecutor(Executor):
+    """Map shards over a thread pool (created lazily, on first use).
+
+    Shards share the interpreter but not their generators or payloads,
+    so thread scheduling cannot change results. Best when the per-shard
+    work releases the GIL (NumPy kernels on large shards).
+    """
 
     def __init__(self, workers: Optional[int] = None):
         workers = default_workers() if workers is None else int(workers)
@@ -140,12 +144,11 @@ class _PooledExecutor(Executor):
         self.workers = workers
         self._pool = None
 
-    def _make_pool(self):
-        raise NotImplementedError
-
     def map_shards(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-shard"
+            )
         return list(self._pool.map(fn, tasks))
 
     def close(self) -> None:
@@ -153,46 +156,16 @@ class _PooledExecutor(Executor):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    # Engines hold their executor, and a process worker unpickles the
-    # engine: the live pool must never cross a process boundary. The
-    # worker-side copy degrades to a pool-less shell (it only ever runs
-    # the shard task it received).
+    # An engine holds its executor, so pickling an engine pickles the
+    # executor too: the live pool (locks, threads) stays behind, and the
+    # copy re-creates its own on first use.
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state["_pool"] = None
         return state
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class ThreadShardExecutor(_PooledExecutor):
-    """Map shards over a thread pool.
-
-    Shards share the interpreter but not their generators or payloads,
-    so thread scheduling cannot change results. Best when the per-shard
-    work releases the GIL (NumPy kernels on large shards).
-    """
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-shard"
-        )
-
-
-class ProcessShardExecutor(_PooledExecutor):
-    """Map shards over a process pool.
-
-    True multi-core execution for interpreter-bound (scalar) shard work.
-    Tasks and results cross the process boundary by pickling, so the
-    model and shard payloads must be picklable (module-level classes;
-    lambda-based ``FunProbNode`` models are not). Each shard's generator
-    rides along with the task and returns advanced, which keeps the
-    serial and process schedules on identical random streams.
-    """
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
+        return f"ThreadShardExecutor(workers={self.workers})"
 
 
 # ----------------------------------------------------------------------
@@ -493,10 +466,10 @@ class _ResidentState:
 class PersistentProcessExecutor(Executor):
     """Process execution with worker-resident shards.
 
-    Where :class:`ProcessShardExecutor` pickles the whole shard payload
-    to a pool worker and back on *every* step, this executor loads each
-    shard — payload plus RNG substream — into a long-lived worker once
-    and then drives it with small command messages:
+    Instead of pickling every shard payload to a worker and back on
+    every step, this executor loads each shard — payload plus RNG
+    substream — into a long-lived worker once and then drives it with
+    small command messages:
 
     * ``step``: the step input goes out; the per-shard outputs and
       ``step_log_weights`` / ``prev_log_weights`` vectors come back.
@@ -1184,17 +1157,19 @@ class PersistentProcessExecutor(Executor):
     def recover_population(self, key: int) -> List[Any]:
         """Rebuild every shard coordinator-side, without any worker.
 
-        The degradation path: when the restart budget is exhausted the
-        engines call this to reassemble the population from the
-        coordinator's own checkpoints + oplogs, then continue on the
-        next executor rung. Replay mirrors the worker loop exactly
-        (same ``step_shard`` / ``shard_assemble`` / ``shard_commit_weights``
-        calls on the same checkpointed payload and RNG substream), so
-        the recovered shards are bit-identical to the lost residents.
+        The recovery path: when the restart budget is exhausted, or a
+        :class:`~repro.exec.server.StreamServer` session fails
+        mid-step, the engine's ``recover_resident`` reassembles the
+        population from the coordinator's own checkpoints + oplogs,
+        then steps it serially or reloads it into the pool. Replay
+        mirrors the worker loop exactly (same ``step_shard`` /
+        ``shard_assemble`` / ``shard_commit_weights`` calls on the same
+        checkpointed payload and RNG substream), so the recovered
+        shards are bit-identical to the lost residents.
 
         A trailing unpaired ``step`` entry — one whose commit barrier
         never ran because that is where the pool died — is dropped:
-        the engine re-runs that step in full on the new executor.
+        the engine re-runs that step in full on the recovered shards.
         Deliberately ignores the ``poisoned`` flag (recovery is the one
         consumer that can still make sense of the checkpoints) and
         leaves the resident record untouched so a later
@@ -1251,7 +1226,6 @@ def shard_len(shard: Any) -> int:
 EXECUTORS: Dict[str, Callable[..., Executor]] = {
     "serial": SerialExecutor,
     "threads": ThreadShardExecutor,
-    "processes": ProcessShardExecutor,
     "processes-persistent": PersistentProcessExecutor,
 }
 
@@ -1264,11 +1238,10 @@ def parse_executor(spec: Union[None, str, Executor]) -> Executor:
     """Resolve an executor spec to an :class:`Executor` instance.
 
     ``None`` means serial; an :class:`Executor` instance passes through;
-    a string is ``"serial"``, ``"threads"``, ``"processes"``, or
-    ``"processes-persistent"``, optionally with a worker count
-    (``"threads:4"``). String specs are cached process-wide: the same
-    spec always returns the same instance (release the cache with
-    :func:`shutdown_executors`).
+    a string is ``"serial"``, ``"threads"`` or ``"processes-persistent"``,
+    optionally with a worker count (``"threads:4"``). String specs are
+    cached process-wide: the same spec always returns the same instance
+    (release the cache with :func:`shutdown_executors`).
     """
     if spec is None:
         return SerialExecutor()
@@ -1305,8 +1278,8 @@ def shutdown_executors() -> None:
     The per-spec cache otherwise keeps thread/process pools alive for
     the lifetime of the interpreter. Call this in test teardown or at
     the end of a sweep; it is also registered via :mod:`atexit`.
-    Closing is non-destructive — pooled executors lazily re-create
-    their pool on next use, and :class:`PersistentProcessExecutor`
+    Closing is non-destructive — the thread executor lazily re-creates
+    its pool on next use, and :class:`PersistentProcessExecutor`
     restores resident populations from its checkpoints — so an engine
     holding a cached executor keeps working after a shutdown.
     """

@@ -13,9 +13,9 @@ One inference step over a sharded population is a fixed plan::
 Determinism comes from fixing the *partition*, not the schedule: the
 shard count and the per-shard :class:`numpy.random.SeedSequence`
 substreams are properties of the population, chosen independently of
-the executor, so any worker count — serial, 4 threads, 4 processes —
-replays exactly the same random streams and produces the same posterior
-bit-for-bit.
+the executor, so any worker count — serial, 4 threads, 4 worker
+processes — replays exactly the same random streams and produces the
+same posterior bit-for-bit.
 
 Shard payloads are opaque to this module: the scalar engines put a
 ``list`` of :class:`~repro.inference.particles.Particle` objects in each
@@ -138,8 +138,7 @@ class ShardResult:
     step_log_weights: np.ndarray
     #: accumulated log-weights carried into the step
     prev_log_weights: np.ndarray
-    #: the shard generator after the step (advanced in-worker; shipped
-    #: back so process execution replays the exact serial streams)
+    #: the shard generator after the step
     rng: np.random.Generator
 
 
@@ -194,29 +193,6 @@ class ShardedPopulation:
 
     def __repr__(self) -> str:
         return f"ShardedPopulation(n_shards={self.n_shards})"
-
-
-class _ShardStepTask:
-    """Picklable unit of work: step one shard under one stepper.
-
-    The stepper is the engine itself (engines strip their executor when
-    pickled), so a process worker re-runs exactly the code the serial
-    executor would, against the shard's own generator.
-    """
-
-    __slots__ = ("stepper", "shard", "inp")
-
-    def __init__(self, stepper: Any, shard: Shard, inp: Any):
-        self.stepper = stepper
-        self.shard = shard
-        self.inp = inp
-
-    def __call__(self) -> ShardResult:
-        return self.stepper.step_shard(self.shard.payload, self.shard.rng, self.inp)
-
-
-def _run_shard_task(task: _ShardStepTask) -> ShardResult:
-    return task()
 
 
 @dataclass
@@ -444,17 +420,6 @@ class ResidentPopulation:
         self._check_live()
         return ShardedPopulation(self.executor.pull_population(self.key))
 
-    def recover(self) -> ShardedPopulation:
-        """Reassemble the population from the coordinator's checkpoints.
-
-        Unlike :meth:`materialize` this never talks to a worker — the
-        executor replays its checkpoint + oplog locally — so it works
-        when the pool is dead or the resident state poisoned. Used by
-        the engines' degradation ladder after the restart budget trips.
-        """
-        self._check_live()
-        return ShardedPopulation(self.executor.recover_population(self.key))
-
     def release(self) -> None:
         """Free the worker-resident shards and coordinator checkpoints."""
         if self._released:
@@ -487,11 +452,15 @@ def map_step(
     """The map phase of one step: advance every shard under ``executor``.
 
     Returns the per-shard results in shard order plus the advanced
-    population (payloads and generators updated from the results, which
-    is what keeps process workers' RNG consumption authoritative).
+    population (payloads and generators updated from the results).
+    Only the serial and thread executors run this: a worker-resident
+    population steps through :meth:`ResidentPopulation.map_step`.
     """
-    tasks = [_ShardStepTask(stepper, shard, inp) for shard in population.shards]
-    results = executor.map_shards(_run_shard_task, tasks)
+
+    def step(shard: Shard) -> ShardResult:
+        return stepper.step_shard(shard.payload, shard.rng, inp)
+
+    results = executor.map_shards(step, population.shards)
     advanced = ShardedPopulation(
         [
             Shard(shard.index, result.rng, result.payload)

@@ -293,27 +293,21 @@ class StreamServer:
         destroying its produced posteriors on an interrupt would be
         worse than the shard leak being fixed.
         """
-        recoverable = isinstance(session.state, ResidentPopulation) and hasattr(
-            session.state.executor, "recover_population"
-        )
-        if recoverable:
+        resident = isinstance(session.state, ResidentPopulation)
+        if resident:
             # step_once pops the observation *before* stepping and the
             # engine draws ancestors before the barrier: snapshot both
             # so a retry replays the identical step.
             pending_item = session.pending[0] if session.pending else None
-            rng_state = session.engine.rng.bit_generator.state
-            diagnostics = getattr(session.engine, "diagnostics", None)
-            diag_mark = len(diagnostics.steps) if diagnostics is not None else None
+            point = session.engine.rewind_point()
         try:
             dist = session.step_once()
         except Exception:
-            if not recoverable:
+            if not resident:
                 self._evict(session.session_id)
                 raise
             try:
-                dist = self._retry_session(
-                    session, pending_item, rng_state, diag_mark
-                )
+                dist = self._retry_session(session, pending_item, point)
             except Exception:
                 self._evict(session.session_id)
                 raise
@@ -327,33 +321,29 @@ class StreamServer:
         self,
         session: StreamSession,
         pending_item: Optional[Tuple[int, Any]],
-        rng_state: Any,
-        diag_mark: Optional[int],
+        point: Any,
     ) -> Distribution:
         """Rebuild a session's resident state from checkpoints; re-step.
 
-        The executor replays its checkpoint + oplog coordinator-side
-        (no worker involved), the recovered shards are loaded back into
-        the pool under a fresh key, the engine RNG and diagnostics are
-        rewound to the pre-step snapshot, and the popped observation is
-        pushed back to the head of the queue — the retried step is
-        bit-identical to what the failed one should have produced.
+        The engine recovers its shards from the executor's checkpoint +
+        oplog (no worker involved) and rewinds its RNG and diagnostics
+        to ``point`` (``engine.recover_resident``), the shards are
+        loaded back into the pool under a fresh key, and the popped
+        observation is pushed back to the head of the queue — the
+        retried step is bit-identical to what the failed one should have
+        produced.
         """
         population = session.state
-        engine = session.engine
-        shards = population.executor.recover_population(population.key)
-        executor = population.executor
-        population.release()
-        engine.rng.bit_generator.state = rng_state
-        if diag_mark is not None:
-            del engine.diagnostics.steps[diag_mark:]
+        shards = session.engine.recover_resident(population, point)
         if pending_item is not None and (
             not session.pending or session.pending[0] is not pending_item
         ):
             # step_once popped the observation before failing: push it
             # back so the retried step consumes the same input.
             session.pending.appendleft(pending_item)
-        session.state = ResidentPopulation.create(executor, engine, shards)
+        session.state = ResidentPopulation.create(
+            population.executor, session.engine, shards
+        )
         session.retries += 1
         count_event("repro_session_retries_total")
         return session.step_once()

@@ -62,7 +62,7 @@ class RestartBudgetExhausted(InferenceError):
 
     The signal that the persistent pool cannot serve this stream: the
     engines catch it, reassemble the population from the coordinator's
-    checkpoints, and continue on the next rung of the executor ladder.
+    checkpoints, and continue on the serial executor.
     """
 
 

@@ -3,8 +3,8 @@
 See :mod:`repro.faults.plan` for the fault model. The package exists so
 tests and the CI chaos job can drive every supervision path of
 :class:`~repro.exec.executor.PersistentProcessExecutor` —
-crash/hang/ring-fault recovery, restart budgets, the executor
-degradation ladder — reproducibly::
+crash/hang/ring-fault recovery, restart budgets, the degradation to
+the serial executor — reproducibly::
 
     from repro.faults import FaultPlan, fault_plan
 

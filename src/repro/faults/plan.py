@@ -1,7 +1,7 @@
 """Deterministic, seedable fault injection for persistent execution.
 
-Supervised execution (deadlines, restart budgets, the degradation
-ladder) is only trustworthy if every recovery path runs in CI instead
+Supervised execution (deadlines, restart budgets, the degradation to
+serial) is only trustworthy if every recovery path runs in CI instead
 of being discovered in an incident. This module is the chaos driver: a
 :class:`FaultPlan` describes *exactly* which worker fails, how, and at
 which committed step — so a failing run is reproducible byte for byte,

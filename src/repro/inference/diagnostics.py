@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.inference.resampling import ess as ess_of
+from repro.inference.resampling import ess, normalize_log_weights
 
 __all__ = ["StepStats", "DiagnosticsLog", "step_stats_from_log_weights"]
 
@@ -43,17 +43,34 @@ class StepStats:
         return self.ess / self.n_particles
 
 
-def step_stats_from_log_weights(log_weights: Sequence[float]) -> StepStats:
-    """Compute :class:`StepStats` from a step's raw log-weights."""
-    logw = np.asarray(log_weights, dtype=float)
-    top = logw.max()
-    if np.isneginf(top) or np.isnan(top):
-        return StepStats(float("-inf"), float(logw.size), int(logw.size))
-    w = np.exp(logw - top)
-    total = w.sum()
-    log_evidence = float(top + np.log(total / logw.size))
-    normalized = w / total
-    return StepStats(log_evidence, ess_of(normalized), int(logw.size))
+def step_stats_from_log_weights(
+    prev_log_weights: Sequence[float],
+    step_log_weights: Sequence[float],
+    weights: np.ndarray,
+) -> StepStats:
+    """:class:`StepStats` of one step, as every engine records it.
+
+    The incremental evidence is the previous-weight-weighted mean of
+    the step likelihoods, ``log sum_i prev_w_i * exp(step_logw_i)``;
+    with uniform previous weights (after a resample) this is the
+    classic ``log mean w``. ``weights`` are the step's normalized
+    weights, whose ESS is reported. Like
+    :func:`~repro.inference.resampling.normalize_log_weights`, a
+    ``NaN`` step log-weight counts as ``-inf`` (that particle adds
+    nothing) and a ``+inf`` one makes the evidence ``+inf``.
+    """
+    prev_w = normalize_log_weights(prev_log_weights)
+    with np.errstate(divide="ignore"):
+        combined = np.log(prev_w) + np.asarray(step_log_weights, dtype=float)
+    top = combined.max()
+    if np.isnan(top):
+        combined = np.where(np.isnan(combined), -np.inf, combined)
+        top = combined.max()
+    if np.isinf(top):
+        evidence = float(top)
+    else:
+        evidence = float(top + np.log(np.sum(np.exp(combined - top))))
+    return StepStats(evidence, ess(weights), int(weights.size))
 
 
 class DiagnosticsLog:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,18 +45,14 @@ from repro.delayed.interface import lift_distribution, value_expr
 from repro.delayed.streaming import StreamingGraph
 from repro.dists import Distribution, Empirical, Mixture
 from repro.errors import InferenceError
-from repro.exec.executor import (
-    Executor,
-    ProcessShardExecutor,
-    SerialExecutor,
-    parse_executor,
-)
+from repro.exec.executor import Executor, SerialExecutor, parse_executor
 from repro.exec.shm import materialize
 from repro.exec.supervision import RestartBudgetExhausted
 from repro.obs.registry import count_event
 from repro.exec.population import (
     DEFAULT_SHARDS,
     ResidentPopulation,
+    Shard,
     ShardResult,
     ShardedPopulation,
     map_step,
@@ -65,7 +60,7 @@ from repro.exec.population import (
     split_sequence,
 )
 from repro.inference.contexts import DelayedCtx, SamplingCtx
-from repro.inference.diagnostics import DiagnosticsLog, StepStats
+from repro.inference.diagnostics import DiagnosticsLog, step_stats_from_log_weights
 from repro.inference.particles import (
     Particle,
     clone_particle,
@@ -108,8 +103,7 @@ class InferenceEngine(Node):
     ``0`` never resamples.
 
     ``executor`` selects where the per-shard work of a step runs
-    (``"serial"``, ``"threads:N"``, ``"processes:N"``,
-    ``"processes-persistent:N"``, or an
+    (``"serial"``, ``"threads:N"``, ``"processes-persistent:N"``, or an
     :class:`~repro.exec.executor.Executor` instance). Requesting an
     executor — or passing ``n_shards`` — switches the engine state from
     a plain particle list to a :class:`ShardedPopulation` whose shard
@@ -222,7 +216,7 @@ class InferenceEngine(Node):
             # plan degenerates to the classic sequential step.
             population = ShardedPopulation.build([list(state)], [self.rng])
         timer = TELEMETRY.step_timer()
-        results, population = self._map_population(population, inp)
+        results, population = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
         outs = [out for result in results for out in result.outs]
         stepped = [p for result in results for p in result.payload]
@@ -252,9 +246,9 @@ class InferenceEngine(Node):
         """Map phase for one shard: advance its particles under ``rng``.
 
         Runs wherever the executor schedules it (inline, a thread, a
-        worker process); touches only the shard's particles and its own
-        generator, which is what makes the schedule irrelevant to the
-        result.
+        persistent worker process); touches only the shard's particles
+        and its own generator, which is what makes the schedule
+        irrelevant to the result.
         """
         outs: List[Any] = []
         stepped: List[Particle] = []
@@ -277,109 +271,70 @@ class InferenceEngine(Node):
     # ------------------------------------------------------------------
     # worker-resident execution (PersistentProcessExecutor)
     # ------------------------------------------------------------------
-    def _map_population(
-        self, population: ShardedPopulation, inp: Any
-    ) -> Tuple[List[ShardResult], ShardedPopulation]:
-        """Map the step over shards; second ladder rung on pool death.
-
-        ``map_step`` on a :class:`ProcessShardExecutor` ships the whole
-        shard each way and mutates no coordinator state, so when the
-        pool itself dies (:class:`BrokenProcessPool` — workers OOM-killed
-        or reaped) the identical map can simply be re-run serially:
-        same shards, same substreams, bit-identical results. The engine
-        drops to :class:`SerialExecutor` permanently for this stream.
-        """
-        try:
-            return map_step(self.executor, self, population, inp)
-        except BrokenProcessPool:
-            if not isinstance(self.executor, ProcessShardExecutor):
-                raise
-            count_event(
-                "repro_executor_degradations_total",
-                {"from": "processes", "to": "serial"},
-            )
-            warnings.warn(
-                "process pool died mid-stream; continuing serially "
-                "(results are unchanged — shard partition and RNG "
-                "substreams are executor-independent)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            try:
-                self.executor.close()
-            except Exception:
-                pass
-            self.executor = SerialExecutor()
-            return map_step(self.executor, self, population, inp)
-
     def _step_resident(
         self, population: ResidentPopulation, inp: Any
-    ) -> Tuple[Distribution, ResidentPopulation]:
-        """Supervised resident step: degrade off the pool if it fails.
+    ) -> Tuple[Distribution, Union[ResidentPopulation, ShardedPopulation]]:
+        """Supervised resident step: continue serially if the pool fails.
 
-        Wraps :meth:`_step_resident_plan` with the first rung of the
-        executor-degradation ladder. Everything the plan mutates
-        coordinator-side before the commit barrier — the engine RNG
-        (ancestor draws) and the diagnostics log — is snapshotted here,
-        so when the persistent pool exhausts its restart budget
-        mid-step the step can be re-run from scratch on the next rung
-        with bit-identical results.
+        When the persistent pool exhausts its restart budget mid-step,
+        the population is recovered from the executor's checkpoints and
+        the engine rewound to before the step (:meth:`recover_resident`),
+        then this engine switches to :class:`SerialExecutor` and re-runs
+        the step: same shard partition, same substreams, so the stream
+        continues bit-identically. The shared persistent executor itself
+        is left alone (other engines may still hold healthy populations
+        on other slots).
         """
-        executor = population.executor
-        recoverable = hasattr(executor, "recover_population")
-        if recoverable:
-            rng_state = self.rng.bit_generator.state
-            diag_mark = (
-                len(self.diagnostics.steps)
-                if self.diagnostics is not None
-                else None
-            )
+        point = self.rewind_point()
         try:
             return self._step_resident_plan(population, inp)
         except RestartBudgetExhausted as exc:
-            if not recoverable:
-                raise
-            state = self._degrade_resident(
-                population, rng_state, diag_mark, exc
+            shards = self.recover_resident(population, point)
+            count_event(
+                "repro_executor_degradations_total",
+                {"from": "processes-persistent", "to": "serial"},
             )
-            return self.step(state, inp)
+            warnings.warn(
+                f"persistent executor exhausted its restart budget ({exc}); "
+                "population recovered from checkpoints, continuing serially "
+                "(results are unchanged)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.executor = SerialExecutor()
+            return self.step(ShardedPopulation(shards), inp)
 
-    def _degrade_resident(
-        self,
-        population: ResidentPopulation,
-        rng_state: Any,
-        diag_mark: Optional[int],
-        exc: RestartBudgetExhausted,
-    ) -> ShardedPopulation:
-        """Restart-budget exhausted: leave the persistent pool.
+    def rewind_point(self) -> Tuple[Any, Optional[int]]:
+        """What a failed resident step rewinds: RNG state, diagnostics length.
 
-        Reassembles the population coordinator-side from the executor's
-        checkpoints + oplogs (no worker involved), rewinds the engine
-        RNG and diagnostics to the pre-step snapshot, and switches this
-        engine to ``processes:N`` — same shard partition, same
-        substreams, so the stream continues bit-identically. The shared
-        persistent executor itself is left alone (other engines may
-        still hold healthy populations on other slots).
+        Everything a resident step mutates coordinator-side before its
+        commit barrier — the engine RNG (ancestor draws) and the
+        diagnostics log — is captured here, before the step runs.
         """
-        executor = population.executor
-        shards = executor.recover_population(population.key)
+        diagnostics = self.diagnostics
+        diag_mark = len(diagnostics.steps) if diagnostics is not None else None
+        return self.rng.bit_generator.state, diag_mark
+
+    def recover_resident(
+        self, population: ResidentPopulation, point: Tuple[Any, Optional[int]]
+    ) -> List[Shard]:
+        """Take a failed resident population back to ``point``, without workers.
+
+        The executor rebuilds every shard from its own checkpoints and
+        oplog, the handle is released, and the engine RNG and diagnostics
+        are rewound to ``point`` (from :meth:`rewind_point`). Stepping
+        the returned shards again — serially after a degradation, or
+        reloaded into the pool by a
+        :class:`~repro.exec.server.StreamServer` retry — is therefore
+        bit-identical to what the failed step should have produced.
+        """
+        shards = population.executor.recover_population(population.key)
         population.release()
+        rng_state, diag_mark = point
         self.rng.bit_generator.state = rng_state
         if diag_mark is not None:
             del self.diagnostics.steps[diag_mark:]
-        count_event(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
-        )
-        warnings.warn(
-            f"persistent executor exhausted its restart budget ({exc}); "
-            "population recovered from checkpoints, continuing on a "
-            "per-step process pool (results are unchanged)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self.executor = ProcessShardExecutor(getattr(executor, "workers", None))
-        return ShardedPopulation(shards)
+        return shards
 
     def _step_resident_plan(
         self, population: ResidentPopulation, inp: Any
@@ -481,23 +436,10 @@ class InferenceEngine(Node):
         return payload
 
     def _record_stats(self, prev_log_weights, step_log_weights, weights) -> None:
-        """Update :attr:`last_stats` with this step's diagnostics.
-
-        The incremental evidence is the previous-weight-weighted mean of
-        the step likelihoods: ``log sum_i prev_w_i * exp(step_logw_i)``
-        (with uniform previous weights after a resample, this is the
-        classic ``log mean w``).
-        """
-        prev_w = normalize_log_weights(prev_log_weights)
-        step_logw = np.asarray(step_log_weights, dtype=float)
-        with np.errstate(divide="ignore"):
-            combined = np.log(prev_w) + step_logw
-        top = combined.max()
-        if np.isneginf(top) or np.isnan(top):
-            evidence = float("-inf")
-        else:
-            evidence = float(top + np.log(np.sum(np.exp(combined - top))))
-        self.last_stats = StepStats(evidence, ess(weights), int(weights.size))
+        """Update :attr:`last_stats` (and the log) with this step's diagnostics."""
+        self.last_stats = step_stats_from_log_weights(
+            prev_log_weights, step_log_weights, weights
+        )
         if self.diagnostics is not None:
             self.diagnostics.record(self.last_stats)
 

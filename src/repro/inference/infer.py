@@ -16,10 +16,10 @@ equivalent, so the parameter never changes *what* is computed — only
 how fast.
 
 ``executor`` selects where the step runs (:mod:`repro.exec`):
-``"serial"``, ``"threads:N"``, ``"processes:N"``,
-``"processes-persistent:N"`` (worker-resident shards: the population
-stays loaded in long-lived worker processes and only commands cross
-the process boundary per step), or an
+``"serial"``, ``"threads:N"``, ``"processes-persistent:N"``
+(worker-resident shards: the population stays loaded in long-lived
+worker processes and only commands cross the process boundary per
+step), or an
 :class:`~repro.exec.executor.Executor` instance. Requesting one — or
 passing ``n_shards`` — partitions the particle population into
 deterministic shards with independent RNG substreams, so the posterior
@@ -79,7 +79,7 @@ def infer(
     ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``; the
     vectorized backends fall back to the scalar engine when the
     model/method pair is not vectorizable. ``executor`` selects the
-    execution layer (``"serial"``, ``"threads:N"``, ``"processes:N"``,
+    execution layer (``"serial"``, ``"threads:N"``,
     ``"processes-persistent:N"``, or an Executor instance) and
     ``n_shards`` the deterministic shard count; either switches the
     engine to a sharded population whose results are identical for

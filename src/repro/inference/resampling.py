@@ -34,7 +34,9 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     A ``NaN`` log-weight (a broken kernel scored one particle) is
     treated as ``-inf`` for that particle alone — zero weight, with a
     :class:`RuntimeWarning` so the breakage is visible — never as a
-    reason to reset the whole population. Degenerate inputs (all
+    reason to reset the whole population. A ``+inf`` log-weight
+    outweighs every finite one: the weights are the limit, all mass
+    spread evenly over the ``+inf`` entries. Degenerate inputs (all
     ``-inf``: every particle scored zero likelihood) fall back to
     uniform weights rather than dying, which is what a streaming filter
     must do to keep running.
@@ -57,6 +59,9 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     top = logw.max()
     if np.isneginf(top):
         return np.full(logw.size, 1.0 / logw.size)
+    if top == np.inf:
+        w = (logw == top).astype(float)
+        return w / w.sum()
     w = np.exp(logw - top)
     total = w.sum()
     if not total > 0:

@@ -39,7 +39,6 @@ from repro.vectorized.engine import (
     VectorizedEngine,
     VectorizedGaussianChainSDS,
     VectorizedKalmanSDS,
-    VectorizedOutlierSDS,
     VectorizedParticleFilter,
 )
 from repro.vectorized.sds_graph import (
@@ -102,7 +101,6 @@ __all__ = [
     "VectorizedKalmanSDS",
     "VectorizedGaussianChainSDS",
     "VectorizedBetaBernoulliSDS",
-    "VectorizedOutlierSDS",
     "ScalarFallbackState",
     "BatchedDSGraph",
     "BatchedGaussianChainGraph",

@@ -22,9 +22,9 @@ count:
 * :class:`VectorizedBetaBernoulliSDS` — the same idea for the Coin
   model's Beta-Bernoulli chain: per-particle ``(alpha, beta)`` vectors,
   conjugate updates, exact predictive weights.
-* :class:`VectorizedOutlierSDS` — the Rao-Blackwellized Outlier model:
-  a conjugate Gaussian position chain plus a Beta-Bernoulli outlier
-  indicator whose forced realization becomes a masked batched update.
+* :class:`VectorizedGaussianChainSDS` — delayed sampling (sds and bds)
+  over the generic batched graph of :mod:`repro.vectorized.sds_graph`,
+  for every model the analysis admits to the batched fragment.
 
 All subclass :class:`~repro.inference.engine.InferenceEngine`, reusing
 its configuration surface (``resampler``, ``resample_threshold``,
@@ -52,6 +52,7 @@ from repro.exec.population import (
     ResidentPopulation,
     ShardResult,
     ShardedPopulation,
+    map_step,
     shard_sizes,
     spawn_shard_rngs,
 )
@@ -78,9 +79,7 @@ from repro.vectorized.dists import (
     MvGaussianMixtureArray,
 )
 from repro.vectorized.kernels import (
-    bernoulli_sample,
     beta_bernoulli_log_prob,
-    beta_bernoulli_predictive,
     beta_bernoulli_update,
     gaussian_log_prob,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "VectorizedKalmanSDS",
     "VectorizedGaussianChainSDS",
     "VectorizedBetaBernoulliSDS",
-    "VectorizedOutlierSDS",
     "ScalarFallbackState",
     "make_vectorized_engine",
 ]
@@ -155,9 +153,7 @@ class VectorizedEngine(InferenceEngine):
         else:
             population = ShardedPopulation.build([state], [self.rng])
         timer = TELEMETRY.step_timer()
-        # _map_population carries the processes->serial degradation rung
-        # (BrokenProcessPool) exactly as in the scalar engine.
-        results, population = self._map_population(population, inp)
+        results, population = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
         outs = _merge([r.outs for r in results])
         step_logw = np.concatenate([r.step_log_weights for r in results])
@@ -446,8 +442,8 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
     ``repro_scalar_fallback_total{model,mode,reason}``, and finishes
     the stream there. Worker-resident populations
     (``processes-persistent:N``) do not support mid-stream migration —
-    their step failures surface as executor errors — but every
-    materialized executor (serial, threads, processes) does.
+    their step failures surface as executor errors — but the serial and
+    thread executors do.
     """
 
     def __init__(self, model: Any, mode: str = "sds", **kwargs):
@@ -564,11 +560,7 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
         return engine
 
     def _collect_population(self, state: Any):
-        """Merge any materialized engine state into one (ChainState, logw)."""
-        if isinstance(state, ResidentPopulation):  # pragma: no cover - see step()
-            population = state.materialize()
-            state.release()
-            state = population
+        """Merge a materialized engine state into one (ChainState, logw)."""
         if isinstance(state, ShardedPopulation):
             payloads = state.payloads()
             chain_states = [batch.state for batch in payloads]
@@ -676,86 +668,6 @@ class VectorizedBetaBernoulliSDS(VectorizedEngine):
     def _output_distribution(self, outs, weights) -> Distribution:
         alpha, beta = outs
         return BetaMixtureArray(alpha, beta, weights)
-
-
-class VectorizedOutlierSDS(VectorizedEngine):
-    """Rao-Blackwellized SDS for the Outlier model, batched (retired).
-
-    The scalar SDS engine keeps two symbolic chains per particle: the
-    conjugate Gaussian position and the Beta outlier probability, whose
-    Bernoulli child is force-realized each step (``ctx.value``) to
-    branch on. Batched, that becomes: draw the indicator from the
-    posterior predictive ``alpha/(alpha+beta)``, condition the Beta on
-    the realized value, and apply the Kalman update / predictive weight
-    only where the sensor is trusted — a masked blend over the
-    population, one array operation per quantity.
-
-    Since PR 5 the Outlier model runs on the *generic* batched DS graph
-    (``VectorizedGaussianChainSDS`` over a
-    :class:`~repro.vectorized.models.GraphOutlierModel` adapter), whose
-    per-particle masked affine edge performs exactly this arithmetic —
-    bit-identical at a fixed seed. This hand-written engine is no
-    longer registered; it survives as the equivalence oracle in the
-    test suite (``tests/vectorized/test_generic_graph.py``).
-    """
-
-    _PARAMS = (
-        "prior_mean",
-        "prior_var",
-        "motion_var",
-        "obs_var",
-        "outlier_alpha",
-        "outlier_beta",
-        "outlier_mean",
-        "outlier_var",
-    )
-
-    def __init__(self, model: Any, **kwargs):
-        if not all(hasattr(model, p) for p in self._PARAMS):
-            raise InferenceError(
-                f"model {type(model).__name__} is not Outlier-shaped; "
-                "VectorizedOutlierSDS needs prior/motion/obs/outlier parameters"
-            )
-        super().__init__(model, **kwargs)
-
-    def _init_batch_state(self, n: int, rng: np.random.Generator) -> Any:
-        return None  # (alpha, beta, post_mean, post_var) after step 1
-
-    def _step_batch(self, state: Any, yobs: Any, n: int, rng: np.random.Generator):
-        model = self.model
-        if state is None:
-            alpha = np.full(n, float(model.outlier_alpha))
-            beta = np.full(n, float(model.outlier_beta))
-            pred_mean = np.full(n, float(model.prior_mean))
-            pred_var = np.full(n, float(model.prior_var))
-        else:
-            alpha, beta, post_mean, post_var = state
-            pred_mean = post_mean
-            pred_var = post_var + model.motion_var
-        # Forced realization of the indicator: sample the posterior
-        # predictive, then condition the Beta on the drawn value.
-        is_outlier = bernoulli_sample(beta_bernoulli_predictive(alpha, beta), rng)
-        alpha, beta = beta_bernoulli_update(is_outlier, alpha, beta)
-        yobs = float(yobs)
-        gain = pred_var / (pred_var + model.obs_var)
-        upd_mean = pred_mean + gain * (yobs - pred_mean)
-        upd_var = (1.0 - gain) * pred_var
-        step_logw = np.where(
-            is_outlier,
-            gaussian_log_prob(yobs, model.outlier_mean, model.outlier_var),
-            gaussian_log_prob(yobs, pred_mean, pred_var + model.obs_var),
-        )
-        post_mean = np.where(is_outlier, pred_mean, upd_mean)
-        post_var = np.where(is_outlier, pred_var, upd_var)
-        return (
-            (post_mean, post_var),
-            (alpha, beta, post_mean, post_var),
-            step_logw,
-        )
-
-    def _output_distribution(self, outs, weights) -> Distribution:
-        post_mean, post_var = outs
-        return GaussianMixtureArray(post_mean, post_var, weights)
 
 
 def make_vectorized_engine(method_key: str, model: Any, **kwargs) -> Optional[VectorizedEngine]:

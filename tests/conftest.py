@@ -10,9 +10,9 @@ from repro.exec.executor import shutdown_executors
 def _release_executor_pools():
     """Tear down spec-cached executor pools after the test session.
 
-    Without this, every ``"threads:N"`` / ``"processes:N"`` /
-    ``"processes-persistent:N"`` spec touched by a test keeps its
-    worker pool alive until interpreter exit.
+    Without this, every ``"threads:N"`` / ``"processes-persistent:N"``
+    spec touched by a test keeps its worker pool alive until
+    interpreter exit.
     """
     yield
     shutdown_executors()

@@ -1,8 +1,9 @@
 """Compiled surface programs on every executor.
 
 A compiled node carries Python code generated from its muF image, which
-does not pickle; process executors pickle the model into their workers,
-so the node must travel as its muF terms and regenerate its code there.
+does not pickle; the process executor pickles the model into its
+workers, so the node must travel as its muF terms and regenerate its
+code there.
 Posteriors must stay bit-identical to the serial run, on the scalar
 engines (``backend="scalar"``) and on the batched graph engine that
 ``backend="auto"`` picks for sds and bds.
@@ -22,7 +23,7 @@ from repro.vectorized import VectorizedGaussianChainSDS
 
 OBSERVATIONS = [0.3, 1.1, 0.4, 2.0, 1.7, 2.9, 2.2, 3.5]
 FLIPS = [True, False, True, True, False, True, True, True]
-EXECUTORS = ["threads:2", "processes:2", "processes-persistent:2"]
+EXECUTORS = ["threads:2", "processes-persistent:2"]
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -8,7 +8,6 @@ from repro.errors import InferenceError
 from repro.exec import (
     EXECUTORS,
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     SerialExecutor,
     ThreadShardExecutor,
     parse_executor,
@@ -36,7 +35,7 @@ class TestMapShards:
             ]
 
     def test_processes_preserve_order(self):
-        with ProcessShardExecutor(workers=2) as executor:
+        with PersistentProcessExecutor(workers=2) as executor:
             assert executor.map_shards(_square, [5, 4, 3]) == [25, 16, 9]
 
     def test_pool_reused_after_close(self):
@@ -60,16 +59,24 @@ class TestSpecs:
         assert isinstance(parse_executor("serial"), SerialExecutor)
         assert parse_executor("threads:3").workers == 3
         assert isinstance(parse_executor("threads:3"), ThreadShardExecutor)
-        assert isinstance(parse_executor("processes:2"), ProcessShardExecutor)
+        assert isinstance(
+            parse_executor("processes-persistent:2"), PersistentProcessExecutor
+        )
 
     def test_spec_instances_are_cached(self):
         assert parse_executor("threads:2") is parse_executor("threads:2")
         assert parse_executor("threads:2") is not parse_executor("threads:3")
 
     def test_registry_names(self):
-        assert set(EXECUTORS) == {
-            "serial", "threads", "processes", "processes-persistent",
-        }
+        assert set(EXECUTORS) == {"serial", "threads", "processes-persistent"}
+
+    def test_retired_process_pool_spec_names_the_remaining_executors(self):
+        with pytest.raises(
+            InferenceError,
+            match=r"unknown executor 'processes'; choose from "
+            r"\['processes-persistent', 'serial', 'threads'\]",
+        ):
+            parse_executor("processes:2")
 
     def test_bad_specs_rejected(self):
         with pytest.raises(InferenceError):

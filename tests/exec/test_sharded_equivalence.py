@@ -1,9 +1,9 @@
 """Sharded execution: any worker count reproduces the serial posterior.
 
-The determinism contract of the exec layer (ISSUE 2 acceptance): with a
-fixed seed and a fixed shard partition, the posterior is bit-for-bit
-identical under the serial, thread, and process executors at any worker
-count — on the scalar and the vectorized substrate alike.
+The determinism contract of the exec layer: with a fixed seed and a
+fixed shard partition, the posterior is bit-for-bit identical under the
+serial, thread, and persistent process executors at any worker count —
+on the scalar and the vectorized substrate alike.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from repro.bench.models import CoinModel, HmmModel, OutlierModel
 from repro.errors import InferenceError
 from repro.exec import (
     DEFAULT_SHARDS,
-    ProcessShardExecutor,
+    PersistentProcessExecutor,
     SerialExecutor,
     ShardedPopulation,
 )
@@ -33,6 +33,8 @@ def posterior_means(executor, *, method="pf", backend="scalar", n_particles=12,
     for y in obs:
         dist, state = engine.step(state, y)
         means.append(dist.mean())
+    if hasattr(state, "release"):
+        state.release()
     return means
 
 
@@ -42,15 +44,21 @@ class TestScalarEquivalence:
         assert posterior_means(executor) == posterior_means("serial")
 
     def test_pf_processes_match_serial(self):
-        assert posterior_means("processes:2") == posterior_means("serial")
+        assert posterior_means("processes-persistent:2") == posterior_means(
+            "serial"
+        )
 
     def test_acceptance_process4_equals_serial_on_fig2_hmm(self):
-        """ISSUE 2 acceptance: ProcessShardExecutor(workers=4) == SerialExecutor."""
+        """PersistentProcessExecutor(workers=4) == SerialExecutor."""
         serial = posterior_means(SerialExecutor())
-        processes = posterior_means(ProcessShardExecutor(workers=4))
+        executor = PersistentProcessExecutor(workers=4)
+        try:
+            processes = posterior_means(executor)
+        finally:
+            executor.close()
         assert serial == processes
 
-    @pytest.mark.parametrize("executor", ["threads:2", "processes:2"])
+    @pytest.mark.parametrize("executor", ["threads:2", "processes-persistent:2"])
     def test_sds_matches_serial(self, executor):
         assert posterior_means(executor, method="sds") == posterior_means(
             "serial", method="sds"
@@ -72,7 +80,9 @@ class TestScalarEquivalence:
 
 
 class TestVectorizedEquivalence:
-    @pytest.mark.parametrize("executor", ["threads:2", "threads:4", "processes:2"])
+    @pytest.mark.parametrize(
+        "executor", ["threads:2", "threads:4", "processes-persistent:2"]
+    )
     def test_pf_matches_serial(self, executor):
         assert posterior_means(executor, backend="vectorized") == posterior_means(
             "serial", backend="vectorized"

@@ -3,8 +3,8 @@
 The acceptance contract of ISSUE 9: every injected failure mode —
 crash, hang past the deadline, corrupted ring reply, crash loop — is
 survived with a bit-identical posterior, and when the restart budget is
-exhausted the engine degrades ``processes-persistent`` → ``processes``
-→ ``serial`` while the stream keeps running.
+exhausted the engine degrades ``processes-persistent`` → ``serial``
+while the stream keeps running.
 """
 
 import os
@@ -18,7 +18,6 @@ from repro.bench.models import HmmModel
 from repro.errors import InferenceError
 from repro.exec import (
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     SerialExecutor,
     shutdown_executors,
 )
@@ -30,7 +29,17 @@ from repro.exec.supervision import (
     env_step_timeout_s,
 )
 from repro.faults import FaultPlan, clear_fault_plan, fault_plan
-from repro.inference import infer
+from repro.inference import (
+    BoundedDelayedSampler,
+    ParticleFilter,
+    StreamingDelayedSampler,
+    infer,
+)
+from repro.vectorized import (
+    VectorizedGaussianChainSDS,
+    VectorizedKalmanSDS,
+    VectorizedParticleFilter,
+)
 
 OBSERVATIONS = (0.5, 1.0, -0.3, 2.0, 0.8, -1.1)
 
@@ -185,14 +194,25 @@ class TestFaultRecovery:
 
 
 class TestDegradationLadder:
-    """Budget exhaustion walks persistent -> processes -> serial."""
+    """Budget exhaustion degrades persistent -> serial."""
 
-    def test_crash_loop_degrades_to_processes(self, counters):
-        serial = serial_baseline()
-        before = counters(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
-        )
+    @pytest.mark.parametrize(
+        "method, backend, engine_cls",
+        [
+            ("pf", "scalar", ParticleFilter),
+            ("bds", "scalar", BoundedDelayedSampler),
+            ("sds", "scalar", StreamingDelayedSampler),
+            ("pf", "vectorized", VectorizedParticleFilter),
+            ("bds", "vectorized", VectorizedGaussianChainSDS),
+            ("sds", "vectorized", VectorizedKalmanSDS),
+        ],
+    )
+    def test_crash_loop_degrades_to_serial(
+        self, counters, method, backend, engine_cls
+    ):
+        serial = serial_baseline(method=method, backend=backend)
+        label = {"from": "processes-persistent", "to": "serial"}
+        before = counters("repro_executor_degradations_total", label)
         executor = PersistentProcessExecutor(
             workers=2, checkpoint_every=2, restart_budget=2,
             backoff_base_s=0.01,
@@ -201,61 +221,15 @@ class TestDegradationLadder:
             plan = FaultPlan().crash(0, 3).fail_respawn(0, count=10)
             with fault_plan(plan):
                 with pytest.warns(RuntimeWarning, match="restart budget"):
-                    means, engine = run_stream(executor)
+                    means, engine = run_stream(
+                        executor, method=method, backend=backend
+                    )
         finally:
             executor.close()
-        assert means == serial
-        assert isinstance(engine.executor, ProcessShardExecutor)
-        engine.executor.close()
-        assert counters(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
-        ) > before
-
-    def test_degraded_engine_survives_pool_death(self, counters):
-        """Second rung: BrokenProcessPool mid-stream falls back serially."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.exec.population as population_mod
-        import repro.inference.engine as engine_mod
-
-        serial = serial_baseline()
-        executor = ProcessShardExecutor(workers=2)
-        engine = infer(HmmModel(), n_particles=12, seed=3, executor=executor)
-        state = engine.init()
-        means = []
-        real_map_step = population_mod.map_step
-        armed = []
-
-        def exploding_map_step(executor, stepper, population, inp):
-            if armed and isinstance(executor, ProcessShardExecutor):
-                armed.clear()
-                raise BrokenProcessPool("workers reaped")
-            return real_map_step(executor, stepper, population, inp)
-
-        engine_mod.map_step = exploding_map_step
-        try:
-            before = counters(
-                "repro_executor_degradations_total",
-                {"from": "processes", "to": "serial"},
-            )
-            for i, y in enumerate(OBSERVATIONS):
-                if i == 2:
-                    armed.append(True)
-                    with pytest.warns(RuntimeWarning, match="pool died"):
-                        dist, state = engine.step(state, y)
-                else:
-                    dist, state = engine.step(state, y)
-                means.append(dist.mean())
-        finally:
-            engine_mod.map_step = real_map_step
-            executor.close()
+        assert isinstance(engine, engine_cls)
         assert means == serial
         assert isinstance(engine.executor, SerialExecutor)
-        assert counters(
-            "repro_executor_degradations_total",
-            {"from": "processes", "to": "serial"},
-        ) > before
+        assert counters("repro_executor_degradations_total", label) == before + 1
 
     def test_exhausted_budget_raises_for_direct_executor_users(self):
         """Callers driving the executor without an engine see the

@@ -7,6 +7,7 @@ verifiable against the Kalman filter's predictive decomposition
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,29 +15,79 @@ import pytest
 from repro.bench.data import coin_data, kalman_data
 from repro.bench.models import CoinModel, KalmanModel
 from repro.dists import Gaussian
-from repro.inference import infer
+from repro.inference import ImportanceSampler, infer
 from repro.inference.diagnostics import (
     DiagnosticsLog,
     StepStats,
     step_stats_from_log_weights,
 )
+from repro.inference.resampling import normalize_log_weights
+from repro.runtime.node import ProbNode
+
+
+def stats_after_resample(step_log_weights):
+    """StepStats of a step that starts from uniform weights."""
+    logw = np.asarray(step_log_weights, dtype=float)
+    return step_stats_from_log_weights(
+        np.zeros(logw.size), logw, normalize_log_weights(logw)
+    )
+
+
+class ScoresOnce(ProbNode):
+    """Particles are numbered at ``init``; particle 0 scores ``score``
+    at instant 0, and every other score is 0."""
+
+    def __init__(self, score):
+        self.score = score
+        self.issued = 0
+
+    def init(self):
+        ident = self.issued
+        self.issued += 1
+        return (ident, 0)
+
+    def step(self, state, inp, ctx):
+        ident, t = state
+        ctx.factor(self.score if (ident, t) == (0, 0) else 0.0)
+        return float(ident), (ident, t + 1)
 
 
 class TestStepStats:
     def test_uniform_weights(self):
-        stats = step_stats_from_log_weights([math.log(0.5)] * 4)
+        stats = stats_after_resample([math.log(0.5)] * 4)
         assert stats.log_evidence == pytest.approx(math.log(0.5))
         assert stats.ess == pytest.approx(4.0)
         assert stats.ess_fraction == pytest.approx(1.0)
 
     def test_degenerate_weights(self):
-        stats = step_stats_from_log_weights([0.0, -math.inf, -math.inf])
+        stats = stats_after_resample([0.0, -math.inf, -math.inf])
         assert stats.ess == pytest.approx(1.0)
         assert stats.log_evidence == pytest.approx(math.log(1.0 / 3.0))
 
     def test_all_zero_likelihood(self):
-        stats = step_stats_from_log_weights([-math.inf, -math.inf])
+        stats = stats_after_resample([-math.inf, -math.inf])
         assert stats.log_evidence == -math.inf
+
+    def test_nan_particle_adds_nothing_to_the_evidence(self):
+        """Regression: one NaN step log-weight made the whole instant's
+        evidence ``-inf``, although the particle already has zero weight
+        and the other three scored ``log 1``."""
+        engine = ImportanceSampler(ScoresOnce(math.nan), n_particles=4, seed=0)
+        with pytest.warns(RuntimeWarning, match="NaN log-weight"):
+            engine.step(engine.init(), None)
+        assert engine.last_stats.log_evidence == pytest.approx(math.log(3 / 4))
+        assert engine.last_stats.ess == pytest.approx(3.0)
+
+    def test_pos_inf_particle_makes_the_evidence_infinite(self):
+        """Regression: a ``+inf`` step log-weight read NaN evidence and
+        uniform weights; it now holds all the mass."""
+        engine = ImportanceSampler(ScoresOnce(math.inf), n_particles=4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist, _ = engine.step(engine.init(), None)
+        assert engine.last_stats.log_evidence == math.inf
+        assert engine.last_stats.ess == 1.0
+        assert list(dist.weights) == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestDiagnosticsLog:

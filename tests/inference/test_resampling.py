@@ -1,6 +1,7 @@
 """Resampling schemes and weight normalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ class TestNormalizeLogWeights:
         with pytest.warns(RuntimeWarning):
             weights = normalize_log_weights([math.nan, -math.inf, 0.0])
         assert np.allclose(weights, [0.0, 0.0, 1.0])
+
+    def test_pos_inf_takes_all_the_mass(self):
+        """Regression: ``[inf, 0, -1]`` gave uniform weights (``inf - inf``
+        is NaN) plus NumPy's "invalid value" warning; the limit puts all
+        mass on the ``+inf`` entry."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = normalize_log_weights([math.inf, 0.0, -1.0])
+        assert weights.tolist() == [1.0, 0.0, 0.0]
+
+    def test_pos_inf_mass_spread_evenly(self):
+        weights = normalize_log_weights([math.inf, math.inf, 0.0])
+        assert weights.tolist() == [0.5, 0.5, 0.0]
 
     @given(
         logw=st.lists(

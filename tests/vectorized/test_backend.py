@@ -57,7 +57,8 @@ class TestBackendSelection:
             VectorizedBetaBernoulliSDS,
         )
         # The Outlier model rides the generic batched DS graph since
-        # PR 5 (VectorizedOutlierSDS survives only as a test oracle).
+        # PR 5 (VectorizedOutlierSDS survives only as the test oracle
+        # in outlier_oracle.py).
         outlier_engine = infer(OutlierModel(), method="sds", backend="vectorized")
         assert isinstance(outlier_engine, VectorizedGaussianChainSDS)
         # no closed-form SDS engine registered: scalar fallback

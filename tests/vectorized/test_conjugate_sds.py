@@ -1,9 +1,11 @@
 """Closed-form vectorized SDS beyond the Gaussian chain.
 
-The Beta-Bernoulli kernels and the two engines built on them:
+The Beta-Bernoulli kernels and the engines built on them:
 ``VectorizedBetaBernoulliSDS`` (Coin) must reproduce the scalar SDS
-posterior exactly — the conjugate update is deterministic — and
-``VectorizedOutlierSDS`` must agree with the scalar SDS engine in law.
+posterior exactly — the conjugate update is deterministic — and the
+batched Outlier engine (the generic graph; its retired bespoke
+predecessor is the oracle in ``outlier_oracle.py``) must agree with the
+scalar SDS engine in law.
 """
 
 import math
