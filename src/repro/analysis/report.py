@@ -216,8 +216,8 @@ class ModelAnalysis:
 
     ``conclusive`` says whether the analysis could see through the
     model; when it is False the remaining verdicts are conservative
-    defaults, and routing leaves the model to the registries and the
-    runtime's scalar migration.
+    defaults, and routing leaves the model to the vectorized routing
+    maps and the runtime's scalar migration.
     """
 
     conclusive: bool

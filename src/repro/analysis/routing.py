@@ -1,13 +1,14 @@
 """Analysis-first backend routing.
 
-The glue between the static analysis and engine selection. Before this
-module, ``infer(..., backend="auto")`` discovered the right backend
-*empirically*: try the vectorized registries, run the model, migrate to
-the scalar engines mid-stream when the graph rejects it. Now the
-ahead-of-time verdict is consulted first; only models the analysis
-cannot see through (``conclusive=False``) take the old registry path,
-and the graph engine's mid-stream scalar migration remains the runtime
-confirmation.
+The glue between the static analysis and engine selection. Under
+``infer(..., backend="auto")``,
+:func:`~repro.vectorized.engine.make_vectorized_engine` consults the
+ahead-of-time verdict first: a conclusively unbatchable model goes
+straight to the scalar engines, a batchable and bounded one may get the
+batched graph engine even when unregistered, and models the analysis
+cannot see through (``conclusive=False``) are routed by the maps of
+:mod:`repro.vectorized.models` alone. The graph engine's mid-stream
+scalar migration remains the runtime confirmation.
 
 Every consultation increments ``repro_analysis_verdicts_total{verdict}``
 (always-on, like the scalar-fallback counters), so a fleet's routing
@@ -114,21 +115,15 @@ def _routed_model(model: Any) -> Any:
     the Outlier model branches on a forced value (conclusively
     unbatchable), but its registration wraps it in the masked-affine
     :class:`~repro.vectorized.models.GraphOutlierModel`, which is
-    squarely inside the fragment.
+    squarely inside the fragment. An adapter that raises is a
+    registration bug, so its error propagates.
     """
     # Imported lazily: repro.vectorized lazily imports this module for
     # registration-time verification.
-    try:
-        from repro.vectorized.models import DS_GRAPH_ADAPTERS
-    except Exception:
-        return model
-    adapter = DS_GRAPH_ADAPTERS.get(type(model))
-    if adapter is None:
-        return model
-    try:
-        return adapter(model)
-    except Exception:
-        return model
+    from repro.vectorized.models import DS_GRAPH_MODELS
+
+    adapter = DS_GRAPH_MODELS.get(type(model))
+    return model if adapter is None else adapter(model)
 
 
 def consult_for_backend(model: Any, method_key: str) -> Tuple[ModelAnalysis, Optional[bool]]:
@@ -138,17 +133,16 @@ def consult_for_backend(model: Any, method_key: str) -> Tuple[ModelAnalysis, Opt
 
     * ``False`` — conclusively out of fragment for a delayed-sampling
       method (wrong families, lockstep violation) even after the
-      registered lockstep adapter, if any: skip the vectorized
-      registries entirely and build the scalar engine.
+      registered lockstep adapter, if any: skip the vectorized maps
+      entirely and build the scalar engine.
     * ``True`` — conclusively batchable *and* bounded: try the
       vectorized path, and the caller may construct a generic graph
-      engine even on a registry miss.
+      engine even for an unlisted model.
     * ``None`` — no static opinion (inconclusive, a method whose
-      vectorization is a registry property like ``pf``, or batchable
-      but unbounded — the registries may still serve it, but the
-      analysis will not volunteer an engine whose graph grows without
-      bound): behave as before — registry lookup, runtime fallback as
-      last resort.
+      vectorization is a map entry like ``pf``, or batchable but
+      unbounded — the maps may still list it, but the analysis will
+      not volunteer an engine whose graph grows without bound): route
+      by the maps alone, runtime fallback as last resort.
 
     The verdict is recorded in ``repro_analysis_verdicts_total``.
     """
@@ -156,7 +150,7 @@ def consult_for_backend(model: Any, method_key: str) -> Tuple[ModelAnalysis, Opt
     record_verdict(analysis)
     if method_key not in ("sds", "bds"):
         # pf/importance vectorization is about having a step_batch
-        # implementation, which is a registry fact, not a dataflow one.
+        # implementation, which is a map entry, not a dataflow fact.
         return analysis, None
     if not analysis.conclusive:
         return analysis, None

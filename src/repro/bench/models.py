@@ -361,20 +361,20 @@ class MixedFragmentModel(ProbNode):
         return 0.0, None
 
 
-# Register the batched equivalents with the vectorized backend: the
-# registries live in repro.vectorized but start empty, so the dependency
-# points from this benchmark layer to the core, not the other way.
+# Fill the vectorized backend's routing maps: they live in
+# repro.vectorized but start empty, so the dependency points from this
+# benchmark layer to the core, not the other way.
 from repro.vectorized.engine import (  # noqa: E402
     VectorizedBetaBernoulliSDS,
+    VectorizedKalmanSDS,
 )
 from repro.vectorized.models import (  # noqa: E402
+    CLOSED_FORM_SDS,
     GraphOutlierModel,
     coin_vectorizer,
     kalman_vectorizer,
     outlier_vectorizer,
-    register_conjugate_gaussian_chain,
     register_ds_graph_model,
-    register_sds_engine,
     register_vectorizer,
 )
 
@@ -382,28 +382,27 @@ register_vectorizer(KalmanModel, kalman_vectorizer)
 register_vectorizer(HmmModel, kalman_vectorizer)
 register_vectorizer(CoinModel, coin_vectorizer)
 register_vectorizer(OutlierModel, outlier_vectorizer)
-register_conjugate_gaussian_chain(KalmanModel)
-register_conjugate_gaussian_chain(HmmModel)
-register_sds_engine(CoinModel, VectorizedBetaBernoulliSDS)
-# The Kalman/HMM chains keep their dedicated closed-form SDS recursions
-# (registered above); this additionally routes their *bounded* delayed
-# sampling to the array-native graph engine of repro.vectorized.sds_graph.
+# The Kalman/HMM chains and the Coin model keep closed-form sds engines
+# (mean/variance recursions, conjugate counts); their bds runs on the
+# array-native graph engine of repro.vectorized.sds_graph.
+CLOSED_FORM_SDS[KalmanModel] = VectorizedKalmanSDS
+CLOSED_FORM_SDS[HmmModel] = VectorizedKalmanSDS
+CLOSED_FORM_SDS[CoinModel] = VectorizedBetaBernoulliSDS
 register_ds_graph_model(KalmanModel)
 register_ds_graph_model(HmmModel)
-# The Outlier model runs on the *generic* batched DS graph (PR 5): the
-# lockstep adapter rewrites its per-particle branch as a masked affine
-# observation, and the Beta→Bernoulli branch becomes batched conjugate
-# slots beside the Gaussian position chain. The retired bespoke
-# VectorizedOutlierSDS engine survives only as the equivalence oracle in
-# tests/vectorized/outlier_oracle.py. Coin's bounded delayed sampling
-# rides the same graph (its exact SDS stays with the closed-form
-# Beta-Bernoulli engine above).
+# The Outlier model runs on the *generic* batched DS graph under both
+# methods: the lockstep adapter rewrites its per-particle branch as a
+# masked affine observation, and the Beta→Bernoulli branch becomes
+# batched conjugate slots beside the Gaussian position chain. The
+# retired bespoke VectorizedOutlierSDS engine survives only as the
+# equivalence oracle in tests/vectorized/outlier_oracle.py.
 register_ds_graph_model(OutlierModel, adapter=GraphOutlierModel)
 register_ds_graph_model(CoinModel)
-# The PR-8 conjugacy families ride the same generic graph: Gamma-Poisson
-# count streams and Dirichlet-Categorical switching proportions, plus the
-# mixed-fragment model whose non-conjugate slots exercise in-graph
-# per-slot realize-and-continue instead of scalar migration.
+# The conjugacy families beyond Gaussian and Beta ride the same generic
+# graph: Gamma-Poisson count streams and Dirichlet-Categorical switching
+# proportions, plus the mixed-fragment model whose non-conjugate slots
+# exercise in-graph per-slot realize-and-continue instead of scalar
+# migration.
 register_ds_graph_model(PoissonCountModel)
 register_ds_graph_model(DirichletCategoricalModel)
 register_ds_graph_model(MixedFragmentModel)

@@ -10,10 +10,11 @@ samplers are selected by name.
 reference engines, one Python object per particle), ``"vectorized"``
 (the structure-of-arrays engines of :mod:`repro.vectorized`, which
 advance the whole particle population per array operation), or
-``"auto"``. With ``"vectorized"`` or ``"auto"`` the scalar engine is
-used automatically when the model/method pair has no vectorized
-equivalent, so the parameter never changes *what* is computed — only
-how fast.
+``"auto"``. Which batched engine runs, if any, is decided in one place,
+:func:`repro.vectorized.engine.make_vectorized_engine`; the scalar
+engine is used automatically when the model/method pair has no
+vectorized equivalent, so the parameter never changes *what* is
+computed — only how fast.
 
 ``executor`` selects where the step runs (:mod:`repro.exec`):
 ``"serial"``, ``"threads:N"``, ``"processes-persistent:N"``
@@ -78,7 +79,10 @@ def infer(
     ``"importance"``, ``"bds"``, ``"sds"``, or ``"ds"``. ``backend`` is
     ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``; the
     vectorized backends fall back to the scalar engine when the
-    model/method pair is not vectorizable. ``executor`` selects the
+    model/method pair is not vectorizable. A batched
+    :class:`~repro.vectorized.models.VectorizedModel` runs only under
+    ``"pf"`` on a vectorized backend; anything else raises
+    :class:`InferenceError`. ``executor`` selects the
     execution layer (``"serial"``, ``"threads:N"``,
     ``"processes-persistent:N"``, or an Executor instance) and
     ``n_shards`` the deterministic shard count; either switches the
@@ -105,40 +109,22 @@ def infer(
     kwargs = dict(
         kwargs, executor=executor, n_shards=n_shards, diagnostics=diagnostics
     )
-    decision = None
-    if backend == "auto":
-        # Analysis first: the static verdict decides whether the
-        # vectorized registries are even worth consulting. The runtime
-        # probe and the mid-stream scalar fallback remain as
-        # confirmation for models the analysis cannot see through.
-        from repro.analysis.routing import consult_for_backend
+    # Imported lazily: repro.vectorized depends on the scalar engines,
+    # so a module-level import here would be circular.
+    from repro.vectorized.engine import make_vectorized_engine
+    from repro.vectorized.models import VectorizedModel
 
-        _, decision = consult_for_backend(model, key)
-        if decision is False:
-            return ENGINES[key](
-                model, n_particles=n_particles, seed=seed, rng=rng, **kwargs
-            )
-    if backend in ("vectorized", "auto"):
-        # Imported lazily: repro.vectorized depends on the scalar
-        # engines, so a module-level import here would be circular.
-        from repro.vectorized.engine import make_vectorized_engine
-
+    if backend != "scalar":
         engine = make_vectorized_engine(
-            key, model, n_particles=n_particles, seed=seed, rng=rng, **kwargs
+            key, model, backend, n_particles=n_particles, seed=seed, rng=rng,
+            **kwargs,
         )
         if engine is not None:
             return engine
-        if decision is True and key in ("sds", "bds"):
-            # Conclusively batchable but unregistered: build the generic
-            # graph engine directly.
-            from repro.vectorized.engine import VectorizedGaussianChainSDS
-
-            return VectorizedGaussianChainSDS(
-                model,
-                mode=key,
-                n_particles=n_particles,
-                seed=seed,
-                rng=rng,
-                **kwargs,
-            )
+    if isinstance(model, VectorizedModel):
+        raise InferenceError(
+            f"{type(model).__name__} is a batched VectorizedModel: it runs "
+            "only under method='pf' on a vectorized backend "
+            "(backend='vectorized' or 'auto')"
+        )
     return ENGINES[key](model, n_particles=n_particles, seed=seed, rng=rng, **kwargs)

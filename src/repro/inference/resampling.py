@@ -57,7 +57,7 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
         )
         logw = np.where(nan_mask, -np.inf, logw)
     top = logw.max()
-    if np.isneginf(top):
+    if top == -np.inf:
         return np.full(logw.size, 1.0 / logw.size)
     if top == np.inf:
         w = (logw == top).astype(float)

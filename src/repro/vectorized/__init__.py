@@ -4,7 +4,8 @@ The scalar engines of :mod:`repro.inference` are the semantic baseline —
 one Python object per particle, stepped in an interpreter loop. This
 package is the high-throughput substrate: the particle population lives
 in stacked NumPy arrays (:class:`ParticleBatch`), distributions sample
-and score whole batches at once (:mod:`repro.vectorized.kernels`), and
+and score with one parameter row per particle
+(:mod:`repro.vectorized.kernels`), and
 the engines advance every particle in a constant number of array
 operations per synchronous instant.
 
@@ -14,7 +15,8 @@ Select it through the public API::
     engine = infer(model, n_particles=1000, method="pf", backend="vectorized")
 
 which falls back to the scalar engines when the model has no vectorized
-equivalent (see :func:`vectorize_model`).
+equivalent (the routing rule is
+:func:`repro.vectorized.engine.make_vectorized_engine`).
 """
 
 from repro.vectorized.batch import (
@@ -45,7 +47,6 @@ from repro.vectorized.sds_graph import (
     FAMILY_KERNELS,
     BatchedDelayedCtx,
     BatchedDSGraph,
-    BatchedGaussianChainGraph,
     BatchedNode,
     BetaBernoulliEdge,
     ChainOuts,
@@ -57,28 +58,20 @@ from repro.vectorized.sds_graph import (
     register_slot_family,
 )
 from repro.vectorized.kernels import (
-    BATCH_KERNELS,
     beta_bernoulli_log_prob,
     beta_bernoulli_predictive,
     beta_bernoulli_update,
-    log_prob,
-    sample_n,
-    supports_batch,
 )
 from repro.vectorized.models import (
-    BDS_ENGINES,
-    CONJUGATE_GAUSSIAN_CHAINS,
-    SDS_ENGINES,
+    CLOSED_FORM_SDS,
+    DS_GRAPH_MODELS,
     VECTORIZED_MODELS,
     GraphOutlierModel,
     VectorizedCoin,
     VectorizedKalman,
     VectorizedModel,
     VectorizedOutlier,
-    register_bds_engine,
-    register_conjugate_gaussian_chain,
     register_ds_graph_model,
-    register_sds_engine,
     register_vectorizer,
     vectorize_model,
 )
@@ -103,7 +96,6 @@ __all__ = [
     "VectorizedBetaBernoulliSDS",
     "ScalarFallbackState",
     "BatchedDSGraph",
-    "BatchedGaussianChainGraph",
     "BatchedDelayedCtx",
     "BatchedNode",
     "BetaBernoulliEdge",
@@ -115,10 +107,6 @@ __all__ = [
     "ChainOuts",
     "ChainState",
     "ChainStructureError",
-    "BATCH_KERNELS",
-    "supports_batch",
-    "sample_n",
-    "log_prob",
     "beta_bernoulli_predictive",
     "beta_bernoulli_log_prob",
     "beta_bernoulli_update",
@@ -128,13 +116,9 @@ __all__ = [
     "VectorizedOutlier",
     "GraphOutlierModel",
     "VECTORIZED_MODELS",
-    "CONJUGATE_GAUSSIAN_CHAINS",
-    "SDS_ENGINES",
-    "BDS_ENGINES",
+    "DS_GRAPH_MODELS",
+    "CLOSED_FORM_SDS",
     "register_vectorizer",
-    "register_conjugate_gaussian_chain",
-    "register_sds_engine",
-    "register_bds_engine",
     "register_ds_graph_model",
     "vectorize_model",
 ]

@@ -147,7 +147,7 @@ class GaussianMixtureArray(Distribution):
         with np.errstate(divide="ignore"):
             terms = np.where(self.weights > 0, np.log(np.maximum(self.weights, 1e-300)), -np.inf) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 
@@ -230,7 +230,7 @@ class MvGaussianMixtureArray(Distribution):
                 -np.inf,
             ) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 
@@ -310,7 +310,7 @@ class BetaMixtureArray(Distribution):
                 -np.inf,
             ) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 
@@ -390,7 +390,7 @@ class GammaMixtureArray(Distribution):
                 -np.inf,
             ) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 
@@ -464,7 +464,7 @@ class DirichletMixtureArray(Distribution):
                 -np.inf,
             ) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 
@@ -553,7 +553,7 @@ class CountMixtureArray(Distribution):
                 -np.inf,
             ) + logs
         top = terms.max()
-        if np.isneginf(top):
+        if top == -np.inf:
             return -math.inf
         return float(top + np.log(np.sum(np.exp(terms - top))))
 

@@ -83,7 +83,7 @@ from repro.vectorized.kernels import (
     beta_bernoulli_update,
     gaussian_log_prob,
 )
-from repro.vectorized.models import VectorizedModel, vectorize_model
+from repro.vectorized.models import CLOSED_FORM_SDS, DS_GRAPH_MODELS, vectorize_model
 from repro.vectorized.sds_graph import (
     BatchedDelayedCtx,
     BatchedDSGraph,
@@ -402,7 +402,7 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
     Dirichlet-Categorical slots, and tree-shaped combinations of these
     (the Outlier model's Beta→Bernoulli branch beside its Gaussian
     position chain) — as admitted by the static analysis
-    (:func:`repro.analysis.analysis_for`) and the registries in
+    (:func:`repro.analysis.analysis_for`) and the routing maps of
     :mod:`repro.vectorized.models`.
 
     ``mode`` selects the paper's two streaming delayed samplers:
@@ -670,52 +670,52 @@ class VectorizedBetaBernoulliSDS(VectorizedEngine):
         return BetaMixtureArray(alpha, beta, weights)
 
 
-def make_vectorized_engine(method_key: str, model: Any, **kwargs) -> Optional[VectorizedEngine]:
+def make_vectorized_engine(
+    method_key: str, model: Any, backend: str = "vectorized", **kwargs
+) -> Optional[VectorizedEngine]:
     """The vectorized engine for a ``(method, model)`` pair, or None.
 
-    This is the fallback policy behind ``infer(..., backend=...)``:
+    The one routing rule of ``infer(..., backend="vectorized" | "auto")``;
+    None sends the caller to the scalar engine. It reads the three maps
+    of :mod:`repro.vectorized.models`, in this order:
 
-    * ``"pf"`` vectorizes whenever the model has a batched equivalent;
-    * ``"sds"`` vectorizes models whose delayed-sampling semantics has a
-      registered engine — the ``SDS_ENGINES`` registry (the closed-form
-      Beta-Bernoulli Coin engine, plus any model routed to
-      :class:`VectorizedGaussianChainSDS` by
-      ``register_ds_graph_model`` — linear-Gaussian chains and, since
-      the generic graph, tree-shaped models like Outlier) or the
-      conjugate Gaussian chains of :class:`VectorizedKalmanSDS`
-      (registered via ``register_conjugate_gaussian_chain`` — exact
-      classes only, because a subclass may override ``step`` with
-      non-conjugate structure the closed-form update would miss);
-    * ``"bds"`` vectorizes models in the ``BDS_ENGINES`` registry —
-      models running on the generic array-native graph of
-      :mod:`repro.vectorized.sds_graph` with forced end-of-step
-      realization.
+    1. ``pf``: the model's batched twin (``VECTORIZED_MODELS``, or the
+       model itself when it is a ``VectorizedModel``) under
+       :class:`VectorizedParticleFilter`;
+    2. ``sds``: the closed-form engine ``CLOSED_FORM_SDS`` lists for the
+       class (:class:`VectorizedKalmanSDS`,
+       :class:`VectorizedBetaBernoulliSDS`);
+    3. ``bds``/``sds``: :class:`VectorizedGaussianChainSDS` over the
+       model, through its lockstep adapter, when ``DS_GRAPH_MODELS``
+       lists the class or, under ``"auto"``, the static verdict is
+       batchable and bounded.
 
-    Everything else (``"ds"``, ``"importance"``, unknown models)
-    reports None so the caller uses the scalar engine.
+    Under ``"auto"`` the verdict
+    (:func:`repro.analysis.routing.consult_for_backend`) is taken first,
+    for every method, and a conclusively unbatchable ``bds``/``sds``
+    model gets None. Everything else (``"ds"``, ``"importance"``,
+    unlisted models) gets None.
     """
-    from repro.vectorized.models import (
-        BDS_ENGINES,
-        CONJUGATE_GAUSSIAN_CHAINS,
-        SDS_ENGINES,
-        VectorizedKalman,
-    )
+    verdict = None
+    if backend == "auto":
+        # Imported lazily: repro.analysis imports the vectorized layer.
+        from repro.analysis.routing import consult_for_backend
 
+        _, verdict = consult_for_backend(model, method_key)
     if method_key in ("pf", "particle_filter"):
         batched = vectorize_model(model)
         if batched is None:
             return None
         return VectorizedParticleFilter(batched, **kwargs)
-    if method_key == "sds":
-        factory = SDS_ENGINES.get(type(model))
-        if factory is not None:
-            return factory(model, **kwargs)
-        if type(model) in CONJUGATE_GAUSSIAN_CHAINS or isinstance(model, VectorizedKalman):
-            return VectorizedKalmanSDS(model, **kwargs)
+    if method_key not in ("sds", "bds") or verdict is False:
         return None
-    if method_key == "bds":
-        factory = BDS_ENGINES.get(type(model))
-        if factory is not None:
-            return factory(model, **kwargs)
+    cls = type(model)
+    if method_key == "sds" and cls in CLOSED_FORM_SDS:
+        return CLOSED_FORM_SDS[cls](model, **kwargs)
+    if cls in DS_GRAPH_MODELS:
+        adapter = DS_GRAPH_MODELS[cls]
+        if adapter is not None:
+            model = adapter(model)
+    elif not verdict:
         return None
-    return None
+    return VectorizedGaussianChainSDS(model, mode=method_key, **kwargs)

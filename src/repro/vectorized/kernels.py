@@ -1,50 +1,26 @@
 """Batched distribution kernels.
 
 The scalar :class:`~repro.dists.base.Distribution` interface draws and
-scores one value at a time. The vectorized engines instead need *array*
-operations: draw ``n`` values in one call, score ``n`` values in one
-call. Two layers are provided:
-
-* :func:`sample_n` / :func:`log_prob` — batched operations on an
-  existing scalar distribution object (shared parameters, ``n``
-  independent draws). Dispatch is by distribution type through the
-  ``BATCH_KERNELS`` registry; :func:`supports_batch` reports coverage.
-* array-parameter kernels (:func:`gaussian_sample`,
-  :func:`gaussian_log_prob`, :func:`bernoulli_log_prob`, …) — the
-  per-particle-parameter case the vectorized models use directly: the
-  ``i``-th draw uses the ``i``-th row of the parameter arrays.
-
-Both layers are pure NumPy; the fallback path for uncovered
-distribution types is a Python loop over the scalar interface, so
-``sample_n`` / ``log_prob`` are total even for exotic distributions.
+scores one value at a time. The vectorized engines and the batched
+delayed-sampling graph instead need *array* operations with
+per-particle parameters: the ``i``-th draw or score uses the ``i``-th
+row of the parameter arrays (:func:`gaussian_sample`,
+:func:`gaussian_log_prob`, :func:`bernoulli_log_prob`, …), plus the
+conjugate Beta-Bernoulli arithmetic. All kernels are pure NumPy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Tuple
 
 import numpy as np
 
-from repro.dists import (
-    Bernoulli,
-    Beta,
-    Categorical,
-    Distribution,
-    Gaussian,
-    MvGaussian,
-)
-
 __all__ = [
-    "BATCH_KERNELS",
-    "supports_batch",
-    "sample_n",
-    "log_prob",
     "gaussian_sample",
     "gaussian_log_prob",
     "bernoulli_sample",
     "bernoulli_log_prob",
-    "beta_sample",
     "beta_log_prob",
     "categorical_sample",
     "categorical_row_log_prob",
@@ -95,11 +71,6 @@ def bernoulli_log_prob(value, p) -> np.ndarray:
     prob = np.where(success, p, 1.0 - p)
     with np.errstate(divide="ignore"):
         return np.where(prob > 0.0, np.log(np.maximum(prob, 1e-300)), -np.inf)
-
-
-def beta_sample(alpha, beta, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``x_i ~ Beta(alpha_i, beta_i)``; parameters broadcast."""
-    return rng.beta(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -314,100 +285,3 @@ def beta_bernoulli_update(value, alpha, beta) -> Tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     return alpha + hit, beta + ~hit
-
-
-# ----------------------------------------------------------------------
-# shared-parameter kernels for scalar distribution objects
-# ----------------------------------------------------------------------
-def _gaussian_sample_n(d: Gaussian, n: int, rng) -> np.ndarray:
-    return rng.normal(d.mu, math.sqrt(d.var), size=n)
-
-
-def _gaussian_log_prob(d: Gaussian, values) -> np.ndarray:
-    return gaussian_log_prob(values, d.mu, d.var)
-
-
-def _bernoulli_sample_n(d: Bernoulli, n: int, rng) -> np.ndarray:
-    return rng.random(n) < d.p
-
-
-def _bernoulli_log_prob(d: Bernoulli, values) -> np.ndarray:
-    return bernoulli_log_prob(values, d.p)
-
-
-def _beta_sample_n(d: Beta, n: int, rng) -> np.ndarray:
-    return rng.beta(d.alpha, d.beta, size=n)
-
-
-def _beta_log_prob(d: Beta, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    log_norm = (
-        math.lgamma(d.alpha + d.beta) - math.lgamma(d.alpha) - math.lgamma(d.beta)
-    )
-    inside = (values > 0.0) & (values < 1.0)
-    safe = np.where(inside, values, 0.5)
-    logp = (
-        log_norm
-        + (d.alpha - 1.0) * np.log(safe)
-        + (d.beta - 1.0) * np.log1p(-safe)
-    )
-    return np.where(inside, logp, -np.inf)
-
-
-def _categorical_sample_n(d: Categorical, n: int, rng) -> np.ndarray:
-    return categorical_sample(np.broadcast_to(d.probs, (n, d.probs.size)), rng)
-
-
-def _categorical_log_prob(d: Categorical, values) -> np.ndarray:
-    k = np.asarray(values, dtype=int)
-    inside = (k >= 0) & (k < d.probs.size)
-    p = np.where(inside, d.probs[np.where(inside, k, 0)], 0.0)
-    with np.errstate(divide="ignore"):
-        return np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
-
-
-def _mv_gaussian_sample_n(d: MvGaussian, n: int, rng) -> np.ndarray:
-    return rng.multivariate_normal(d.mu, d.cov, size=n, method="svd")
-
-
-def _mv_gaussian_log_prob(d: MvGaussian, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float).reshape(-1, d.dim)
-    diff = values - d.mu
-    sign, logdet = np.linalg.slogdet(d.cov)
-    if sign <= 0:
-        eigvals = np.linalg.eigvalsh(d.cov)
-        pos = eigvals[eigvals > 1e-12]
-        logdet = float(np.sum(np.log(pos)))
-    maha = np.einsum("ni,ij,nj->n", diff, np.linalg.pinv(d.cov), diff)
-    return -0.5 * (d.dim * _LOG_2PI + logdet + maha)
-
-
-#: type -> (sample_n kernel, log_prob kernel)
-BATCH_KERNELS: Dict[Type[Distribution], Tuple[Callable, Callable]] = {
-    Gaussian: (_gaussian_sample_n, _gaussian_log_prob),
-    Bernoulli: (_bernoulli_sample_n, _bernoulli_log_prob),
-    Beta: (_beta_sample_n, _beta_log_prob),
-    Categorical: (_categorical_sample_n, _categorical_log_prob),
-    MvGaussian: (_mv_gaussian_sample_n, _mv_gaussian_log_prob),
-}
-
-
-def supports_batch(dist: Distribution) -> bool:
-    """True when ``dist`` has dedicated array kernels (no loop fallback)."""
-    return type(dist) in BATCH_KERNELS
-
-
-def sample_n(dist: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` independent values from ``dist`` as one stacked array."""
-    kernels = BATCH_KERNELS.get(type(dist))
-    if kernels is not None:
-        return kernels[0](dist, int(n), rng)
-    return np.asarray([dist.sample(rng) for _ in range(int(n))])
-
-
-def log_prob(dist: Distribution, values: Any) -> np.ndarray:
-    """Score a stacked array of values under ``dist``, elementwise."""
-    kernels = BATCH_KERNELS.get(type(dist))
-    if kernels is not None:
-        return kernels[1](dist, values)
-    return np.asarray([dist.log_pdf(v) for v in values], dtype=float)

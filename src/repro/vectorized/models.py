@@ -1,4 +1,4 @@
-"""Vectorized counterparts of the benchmark models.
+"""Vectorized counterparts of the benchmark models, and the routing maps.
 
 A :class:`VectorizedModel` is the structure-of-arrays analogue of
 :class:`~repro.runtime.node.ProbNode`: ``step_batch`` advances *all*
@@ -8,19 +8,29 @@ log-weights — the information the scalar engines collect one particle
 at a time through :class:`~repro.inference.contexts.SamplingCtx`.
 
 The classes here mirror ``repro.bench.models`` exactly (same
-parameters, same sampling semantics, so the same posterior laws); the
-:func:`vectorize_model` registry maps a scalar model instance to its
-batched equivalent, which is how ``infer(..., backend="vectorized")``
-decides whether a model is vectorizable. The registry starts empty and
-is populated by the layers that own the scalar models (the benchmark
-package registers its four models when imported), so this core package
-never depends on them.
+parameters, same sampling semantics, so the same posterior laws). Three
+maps, keyed by exact scalar model class, say which batched engine runs
+a model. :func:`~repro.vectorized.engine.make_vectorized_engine` is the
+one routing rule that chooses from them, for both
+``infer(..., backend="vectorized")`` and ``backend="auto"`` (the static
+analysis also looks up a model's adapter, to judge what will run):
+
+* ``VECTORIZED_MODELS`` — the ``pf`` twins (:func:`register_vectorizer`);
+* ``DS_GRAPH_MODELS`` — the models the batched delayed-sampling graph
+  runs under ``bds``/``sds``, each with its lockstep adapter or None
+  (:func:`register_ds_graph_model`);
+* ``CLOSED_FORM_SDS`` — the closed-form ``sds`` engines, written
+  directly.
+
+The maps start empty and are filled by the layers that own the scalar
+models (the benchmark package fills them when imported), so this core
+package never depends on them.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -39,14 +49,9 @@ __all__ = [
     "VectorizedOutlier",
     "GraphOutlierModel",
     "VECTORIZED_MODELS",
-    "CONJUGATE_GAUSSIAN_CHAINS",
-    "SDS_ENGINES",
-    "BDS_ENGINES",
-    "DS_GRAPH_ADAPTERS",
+    "DS_GRAPH_MODELS",
+    "CLOSED_FORM_SDS",
     "register_vectorizer",
-    "register_conjugate_gaussian_chain",
-    "register_sds_engine",
-    "register_bds_engine",
     "register_ds_graph_model",
     "vectorize_model",
     "kalman_vectorizer",
@@ -214,7 +219,7 @@ class GraphOutlierModel(ProbNode):
 
     def step(self, state: Any, yobs: float, ctx) -> Any:
         # Imported lazily: repro.lang pulls in the symbolic layer, which
-        # this registry module otherwise never needs.
+        # this module otherwise never needs.
         from repro.lang import bernoulli, beta, gaussian
 
         if state is None:
@@ -236,7 +241,7 @@ class GraphOutlierModel(ProbNode):
 
 
 # ----------------------------------------------------------------------
-# scalar model -> vectorized model registry
+# pf twin builders and the routing maps
 # ----------------------------------------------------------------------
 def kalman_vectorizer(model: Any) -> VectorizedKalman:
     """Builder for any Kalman-shaped model (prior/motion/obs parameters)."""
@@ -267,35 +272,24 @@ def outlier_vectorizer(model: Any) -> VectorizedOutlier:
     )
 
 
-#: exact scalar model type -> builder of the equivalent VectorizedModel.
-#: Populated by the packages that own the scalar models (repro.bench
-#: registers KalmanModel/HmmModel/CoinModel/OutlierModel on import).
+# The three maps ``make_vectorized_engine`` routes by. Each is keyed by
+# exact class: a subclass may override ``step`` with structure the
+# batched engine would miss.
+
+#: scalar model type -> builder of its ``pf`` twin (a VectorizedModel);
+#: written by ``register_vectorizer``.
 VECTORIZED_MODELS: Dict[Type[ProbNode], Callable[[ProbNode], VectorizedModel]] = {}
 
-#: exact scalar model types whose SDS semantics is the closed-form
-#: conjugate Gaussian chain of ``VectorizedKalmanSDS``.
-CONJUGATE_GAUSSIAN_CHAINS: Set[Type[ProbNode]] = set()
+#: scalar model type -> lockstep adapter (or None) of the models the
+#: batched delayed-sampling graph runs under ``bds`` and ``sds``;
+#: written by ``register_ds_graph_model``. The ``auto`` verdict is taken
+#: on the adapted model, the one the engine runs.
+DS_GRAPH_MODELS: Dict[Type[ProbNode], Optional[Callable[[ProbNode], ProbNode]]] = {}
 
-#: exact scalar model type -> factory of the vectorized engine that
-#: reproduces its streaming-delayed-sampling semantics in closed form
-#: (``factory(model, **engine_kwargs)``). Populated by the packages that
-#: own the scalar models, like ``VECTORIZED_MODELS``.
-SDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
-
-#: exact scalar model type -> factory of the vectorized engine that
-#: reproduces its *bounded* delayed-sampling semantics (fresh graph per
-#: step, forced realization at the end of each instant). Populated like
-#: ``SDS_ENGINES``; ``register_ds_graph_model`` fills both from one
-#: call for models inside the batched delayed-sampling fragment.
-BDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
-
-#: exact scalar model type -> the lockstep adapter its DS-graph
-#: registration carries (``register_ds_graph_model(..., adapter=...)``).
-#: The static analysis consults this so routing verdicts are computed on
-#: the model the batched engine actually runs (e.g. the Outlier model's
-#: per-particle branch is judged through :class:`GraphOutlierModel`'s
-#: masked-affine rewrite, not the raw scalar code).
-DS_GRAPH_ADAPTERS: Dict[Type[ProbNode], Callable[[ProbNode], ProbNode]] = {}
+#: scalar model type -> closed-form ``sds`` engine class
+#: (``engine(model, **engine_kwargs)``), which takes precedence over the
+#: graph engine for that class.
+CLOSED_FORM_SDS: Dict[Type[ProbNode], Callable[..., Any]] = {}
 
 
 def register_vectorizer(
@@ -306,47 +300,21 @@ def register_vectorizer(
     VECTORIZED_MODELS[model_cls] = builder
 
 
-def register_conjugate_gaussian_chain(model_cls: Type[ProbNode]) -> None:
-    """Mark a scalar model class as an exact conjugate Gaussian chain."""
-    CONJUGATE_GAUSSIAN_CHAINS.add(model_cls)
-
-
-def register_sds_engine(
-    model_cls: Type[ProbNode], factory: Callable[..., Any]
-) -> None:
-    """Register a closed-form vectorized SDS engine for a model class.
-
-    ``factory(model, **engine_kwargs)`` must build a
-    :class:`~repro.vectorized.engine.VectorizedEngine` reproducing the
-    model's delayed-sampling semantics. Exact classes only — subclasses
-    may override ``step`` with structure the closed form would miss.
-    """
-    SDS_ENGINES[model_cls] = factory
-
-
-def register_bds_engine(
-    model_cls: Type[ProbNode], factory: Callable[..., Any]
-) -> None:
-    """Register a vectorized BDS engine for a model class (exact classes)."""
-    BDS_ENGINES[model_cls] = factory
-
-
 def register_ds_graph_model(
     model_cls: Type[ProbNode],
     adapter: Optional[Callable[[ProbNode], ProbNode]] = None,
     verify: bool = True,
 ) -> None:
-    """Route a model to the generic array-native DS graph engine.
+    """Route a model's ``bds`` and ``sds`` to the batched DS graph.
 
-    Registers :class:`~repro.vectorized.engine.VectorizedGaussianChainSDS`
-    factories for the model class: always for ``bds`` (the graph engine
-    is the only batched BDS), and for ``sds`` only when no closed-form
-    engine already claims the class (``SDS_ENGINES`` /
-    ``CONJUGATE_GAUSSIAN_CHAINS`` win — e.g. the Kalman/HMM chains keep
-    their dedicated mean/variance recursions). ``adapter``, when given,
-    wraps the scalar model in a lockstep-friendly equivalent before the
-    engine runs it (e.g. :class:`GraphOutlierModel`, which rewrites the
-    Outlier model's per-particle branch as a masked affine observation).
+    The model then runs on
+    :class:`~repro.vectorized.engine.VectorizedGaussianChainSDS` under
+    both methods, except for ``sds`` when ``CLOSED_FORM_SDS`` lists the
+    class (e.g. the Kalman/HMM chains keep their mean/variance
+    recursions). ``adapter``, when given, wraps the scalar model in a
+    lockstep-friendly equivalent before the engine runs it (e.g.
+    :class:`GraphOutlierModel`, which rewrites the Outlier model's
+    per-particle branch as a masked affine observation).
 
     With ``verify=True`` (the default) the static analysis
     (:func:`repro.analysis.analysis_for`) is consulted on a
@@ -355,55 +323,21 @@ def register_ds_graph_model(
     happens (the runtime's mid-stream scalar fallback keeps a
     mis-registered model correct, and tests register such models on
     purpose), but the warning points at the exact lockstep/family
-    violation the batched engine will trip over. Registration is
-    atomic: either every registry entry lands or none does.
+    violation the batched engine will trip over.
     """
-    # Imported lazily: the engine module imports this registry module.
-    from repro.vectorized.engine import VectorizedGaussianChainSDS
-
-    def wrap(model: ProbNode) -> ProbNode:
-        return model if adapter is None else adapter(model)
-
-    def bds_factory(model: ProbNode, **kwargs: Any) -> Any:
-        return VectorizedGaussianChainSDS(wrap(model), mode="bds", **kwargs)
-
-    def sds_factory(model: ProbNode, **kwargs: Any) -> Any:
-        return VectorizedGaussianChainSDS(wrap(model), mode="sds", **kwargs)
-
     if verify:
-        _warn_if_unbatchable(model_cls, wrap)
-
-    # Atomic: snapshot the registries this function touches, roll back
-    # on any failure so a half-registered model never escapes.
-    saved = [
-        (reg, model_cls in reg, reg.get(model_cls))
-        for reg in (BDS_ENGINES, SDS_ENGINES, DS_GRAPH_ADAPTERS)
-    ]
-    try:
-        register_bds_engine(model_cls, bds_factory)
-        if model_cls not in SDS_ENGINES and model_cls not in CONJUGATE_GAUSSIAN_CHAINS:
-            register_sds_engine(model_cls, sds_factory)
-        if adapter is not None:
-            DS_GRAPH_ADAPTERS[model_cls] = adapter
-        else:
-            DS_GRAPH_ADAPTERS.pop(model_cls, None)
-    except Exception:
-        for reg, had, old in saved:
-            if had:
-                reg[model_cls] = old
-            else:
-                reg.pop(model_cls, None)
-        raise
+        _warn_if_unbatchable(model_cls, adapter)
+    DS_GRAPH_MODELS[model_cls] = adapter
 
 
 def _warn_if_unbatchable(
-    model_cls: Type[ProbNode], wrap: Callable[[ProbNode], ProbNode]
+    model_cls: Type[ProbNode], adapter: Optional[Callable[[ProbNode], ProbNode]]
 ) -> None:
     """Warn when the static analysis conclusively rejects the model.
 
-    Best-effort: a model class whose constructor needs arguments, or
-    one the analysis cannot see through, is registered silently — the
-    runtime's scalar fallback still covers it.
+    A model class whose constructor needs arguments is registered
+    without a check; any other error of its constructor or adapter
+    propagates.
     """
     import warnings
 
@@ -411,9 +345,11 @@ def _warn_if_unbatchable(
     from repro.analysis.routing import analysis_for
 
     try:
-        instance = wrap(model_cls())
-    except Exception:
+        instance = model_cls()
+    except TypeError:  # the constructor needs arguments
         return
+    if adapter is not None:
+        instance = adapter(instance)
     analysis = analysis_for(instance)
     if analysis.conclusive and not analysis.batchable:
         details = "; ".join(d.format() for d in analysis.diagnostics) or analysis.reason

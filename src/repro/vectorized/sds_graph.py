@@ -78,7 +78,7 @@ structure the graph cannot express at all (a family without kernels —
 Uniform, InverseGamma, … — a parameter of the wrong shape, branching
 Python control flow on a per-particle value array) raises
 :class:`ChainStructureError`. ``infer`` never routes such models here
-when the analysis / registries are used, and the graph engine
+when the analysis / routing maps are used, and the graph engine
 (:class:`~repro.vectorized.engine.VectorizedGaussianChainSDS`) catches
 the error mid-stream as the last resort, migrates the population to
 the scalar delayed samplers with a one-time :class:`RuntimeWarning`,
@@ -154,7 +154,6 @@ __all__ = [
     "register_slot_family",
     "BatchedNode",
     "BatchedDSGraph",
-    "BatchedGaussianChainGraph",
     "BatchedDelayedCtx",
     "ScalarAffineEdge",
     "ProjectionEdge",
@@ -190,7 +189,7 @@ class ChainStructureError(GraphError):
     raised only for structure the graph cannot express at all — a family
     without SoA kernels, a parameter of the wrong shape, an operator
     with no batched evaluation rule. ``infer`` never routes such models
-    here when the analysis / registries are used, and the
+    here when the analysis / routing maps are used, and the
     graph engine falls back to the scalar delayed samplers mid-stream
     (state migrated, one-time ``RuntimeWarning``) when a model leaves
     the fragment after it started.
@@ -1192,11 +1191,6 @@ class BatchedDSGraph:
             f"{type(self).__name__}(n={self.n}, "
             f"live_slots={len(self.live_slots())})"
         )
-
-
-#: back-compat alias: the PR-4 name of the graph, when it only covered
-#: linear-Gaussian chains.
-BatchedGaussianChainGraph = BatchedDSGraph
 
 
 # ----------------------------------------------------------------------

@@ -7,25 +7,20 @@ import numpy as np
 import pytest
 
 from repro.analysis import UNLIFTABLE_OUTPUT, analyze_model, analyze_node
+from repro.analysis.lint import bench_model_instances
 from repro.analysis.routing import (
     analysis_for,
     clear_analysis_cache,
     consult_for_backend,
 )
-from repro.bench.models import (
-    CoinModel,
-    HmmModel,
-    KalmanModel,
-    OutlierModel,
-    WalkModel,
-)
+from repro.bench.models import KalmanModel, OutlierModel, WalkModel
 from repro.bench.paper_sources import HMM_SOURCE, PAPER_SOURCES, load_paper_node
-from repro.bench.robot import RobotModel
 from repro.core import load
 from repro.errors import InferenceError
 from repro.frontend import parse_program
 from repro.inference import infer
 from repro.inference.engine import (
+    BoundedDelayedSampler,
     OriginalDelayedSampler,
     ParticleFilter,
     StreamingDelayedSampler,
@@ -33,11 +28,16 @@ from repro.inference.engine import (
 from repro.lang import bernoulli, gaussian
 from repro.obs import metrics_snapshot
 from repro.runtime.node import FunProbNode, ProbCtx, ProbNode
-from repro.vectorized import VectorizedGaussianChainSDS
+from repro.vectorized import (
+    VectorizedBetaBernoulliSDS,
+    VectorizedGaussianChainSDS,
+    VectorizedKalman,
+    VectorizedKalmanSDS,
+    VectorizedParticleFilter,
+)
 from repro.vectorized.models import (
-    BDS_ENGINES,
-    DS_GRAPH_ADAPTERS,
-    SDS_ENGINES,
+    DS_GRAPH_MODELS,
+    GraphOutlierModel,
     register_ds_graph_model,
 )
 
@@ -123,7 +123,7 @@ class TestAutoBackend:
         """Conclusively batchable + bounded but never registered: auto
         constructs the generic graph engine instead of probing."""
         model = _fresh_chain_model()
-        assert type(model) not in SDS_ENGINES
+        assert type(model) not in DS_GRAPH_MODELS
         engine = infer(model, n_particles=4, method="sds", backend="auto", seed=0)
         assert isinstance(engine, VectorizedGaussianChainSDS)
         dist, _ = engine.step(engine.init(), 0.5)
@@ -392,11 +392,9 @@ class TestRegistrationVerification:
         try:
             with pytest.warns(RuntimeWarning, match="conclusively unbatchable"):
                 register_ds_graph_model(cls)
-            assert cls in BDS_ENGINES and cls in SDS_ENGINES
+            assert cls in DS_GRAPH_MODELS
         finally:
-            BDS_ENGINES.pop(cls, None)
-            SDS_ENGINES.pop(cls, None)
-            DS_GRAPH_ADAPTERS.pop(cls, None)
+            DS_GRAPH_MODELS.pop(cls, None)
 
     def test_clean_registration_does_not_warn(self, recwarn):
         class CleanChain(ProbNode):
@@ -412,9 +410,7 @@ class TestRegistrationVerification:
             register_ds_graph_model(CleanChain)
             assert not [w for w in recwarn if w.category is RuntimeWarning]
         finally:
-            BDS_ENGINES.pop(CleanChain, None)
-            SDS_ENGINES.pop(CleanChain, None)
-            DS_GRAPH_ADAPTERS.pop(CleanChain, None)
+            DS_GRAPH_MODELS.pop(CleanChain, None)
 
     def test_analysis_crash_propagates(self, monkeypatch):
         """A crash inside the analysis is an analyzer bug: registration
@@ -436,13 +432,19 @@ class TestRegistrationVerification:
         monkeypatch.setattr(routing_mod, "analysis_for", crash)
         with pytest.raises(RuntimeError, match="analyzer bug"):
             register_ds_graph_model(CrashChain)
-        assert CrashChain not in BDS_ENGINES
+        assert CrashChain not in DS_GRAPH_MODELS
 
-    def test_registration_is_atomic(self, monkeypatch):
-        """A failure mid-registration rolls every registry back."""
-        import repro.vectorized.models as models_mod
+    def test_adapter_recorded_for_routing(self):
+        assert DS_GRAPH_MODELS[OutlierModel] is GraphOutlierModel
 
-        class DoomedModel(ProbNode):
+
+class TestRoutingFailuresSurface:
+    """A broken registration or a model no engine can run raises; it
+    never turns into a silent scalar route."""
+
+    @staticmethod
+    def _chain_cls():
+        class Chain(ProbNode):
             def init(self):
                 return None
 
@@ -451,31 +453,140 @@ class TestRegistrationVerification:
                 ctx.observe(gaussian(xt, 1.0), yobs)
                 return xt, xt
 
-        def boom(model_cls, factory):
-            raise RuntimeError("registry exploded")
+        return Chain
 
-        monkeypatch.setattr(models_mod, "register_sds_engine", boom)
-        with pytest.raises(RuntimeError, match="registry exploded"):
-            register_ds_graph_model(DoomedModel, verify=False)
-        assert DoomedModel not in BDS_ENGINES
-        assert DoomedModel not in SDS_ENGINES
-        assert DoomedModel not in DS_GRAPH_ADAPTERS
+    @staticmethod
+    def _broken_adapter(model):
+        raise ValueError("adapter bug")
 
-    def test_adapter_recorded_for_routing(self):
-        assert OutlierModel in DS_GRAPH_ADAPTERS
+    def test_raising_adapter_propagates_from_routing(self):
+        cls = self._chain_cls()
+        register_ds_graph_model(cls, adapter=self._broken_adapter, verify=False)
+        try:
+            with pytest.raises(ValueError, match="adapter bug"):
+                consult_for_backend(cls(), "sds")
+            with pytest.raises(ValueError, match="adapter bug"):
+                infer(cls(), n_particles=4, method="bds", backend="auto")
+        finally:
+            DS_GRAPH_MODELS.pop(cls, None)
 
-    def test_registration_wiring(self):
-        """The bench layer registered its chains with the backend."""
-        assert KalmanModel in BDS_ENGINES
-        assert HmmModel in BDS_ENGINES
-        assert RobotModel in BDS_ENGINES
-        assert RobotModel in SDS_ENGINES  # graph engine claims robot sds
-        assert KalmanModel not in SDS_ENGINES  # closed form keeps Kalman sds
-        # The generic graph claims the Outlier model entirely and Coin's
-        # bounded delayed sampling; Coin sds keeps its closed form.
-        assert OutlierModel in BDS_ENGINES
-        assert OutlierModel in SDS_ENGINES
-        assert CoinModel in BDS_ENGINES
-        from repro.vectorized.engine import VectorizedBetaBernoulliSDS
+    def test_failed_import_propagates_from_routing(self, monkeypatch):
+        import sys
 
-        assert SDS_ENGINES[CoinModel] is VectorizedBetaBernoulliSDS
+        monkeypatch.setitem(sys.modules, "repro.vectorized.models", None)
+        with pytest.raises(ImportError):
+            consult_for_backend(KalmanModel(), "sds")
+
+    def test_raising_adapter_propagates_from_registration(self):
+        cls = self._chain_cls()
+        with pytest.raises(ValueError, match="adapter bug"):
+            register_ds_graph_model(cls, adapter=self._broken_adapter)
+        assert cls not in DS_GRAPH_MODELS
+
+    def test_raising_constructor_propagates_from_registration(self):
+        class Broken(self._chain_cls()):
+            def __init__(self):
+                raise ValueError("constructor bug")
+
+        with pytest.raises(ValueError, match="constructor bug"):
+            register_ds_graph_model(Broken)
+        assert Broken not in DS_GRAPH_MODELS
+
+    def test_constructor_with_arguments_registers_unchecked(self, recwarn):
+        class Parametrized(self._chain_cls()):
+            def __init__(self, scale):
+                self.scale = scale
+
+        try:
+            register_ds_graph_model(Parametrized)
+            assert DS_GRAPH_MODELS[Parametrized] is None
+            assert not [w for w in recwarn if w.category is RuntimeWarning]
+        finally:
+            DS_GRAPH_MODELS.pop(Parametrized, None)
+
+    @pytest.mark.parametrize(
+        "method,backend",
+        [(m, b) for m in ("bds", "sds", "ds", "importance")
+         for b in ("scalar", "vectorized", "auto")]
+        + [("pf", "scalar")],
+    )
+    def test_batched_model_runs_only_under_vectorized_pf(self, method, backend):
+        with pytest.raises(InferenceError, match="method='pf' on a vectorized"):
+            infer(VectorizedKalman(), n_particles=4, method=method, backend=backend)
+
+
+#: The engine ``infer`` builds for each model and method, under
+#: ``backend="vectorized"`` and then ``backend="auto"``: an engine
+#: class, with ``:mode`` for the graph engine.
+ROUTES = """
+KalmanModel                       VPF  VPF   G:bds  G:bds  KSDS   KSDS
+HmmModel                          VPF  VPF   G:bds  G:bds  KSDS   KSDS
+CoinModel                         VPF  VPF   G:bds  G:bds  BBSDS  BBSDS
+OutlierModel                      VPF  VPF   G:bds  G:bds  G:sds  G:sds
+GraphOutlierModel                 PF   PF    BDS    G:bds  SDS    G:sds
+HmmInitModel                      PF   PF    BDS    BDS    SDS    SDS
+WalkModel                         PF   PF    BDS    BDS    SDS    SDS
+BoundedWalkModel                  PF   PF    BDS    G:bds  SDS    G:sds
+PoissonCountModel                 PF   PF    G:bds  G:bds  G:sds  G:sds
+DirichletCategoricalModel         PF   PF    G:bds  G:bds  G:sds  G:sds
+MixedFragmentModel(realize=none)  PF   PF    G:bds  G:bds  G:sds  G:sds
+MixedFragmentModel(realize=one)   PF   PF    G:bds  G:bds  G:sds  G:sds
+MixedFragmentModel(realize=all)   PF   PF    G:bds  G:bds  G:sds  G:sds
+RobotModel                        PF   PF    G:bds  G:bds  G:sds  G:sds
+paper:hmm                         PF   PF    BDS    G:bds  SDS    G:sds
+paper:delay_kalman                PF   PF    BDS    G:bds  SDS    G:sds
+paper:coin                        PF   PF    BDS    G:bds  SDS    G:sds
+"""
+
+ENGINE_CODES = {
+    "PF": ParticleFilter,
+    "BDS": BoundedDelayedSampler,
+    "SDS": StreamingDelayedSampler,
+    "VPF": VectorizedParticleFilter,
+    "KSDS": VectorizedKalmanSDS,
+    "BBSDS": VectorizedBetaBernoulliSDS,
+    "G": VectorizedGaussianChainSDS,
+}
+
+
+def _route_cells():
+    cells = {}
+    for line in ROUTES.strip().splitlines():
+        name, *codes = line.split()
+        for i, code in enumerate(codes):
+            method = ("pf", "bds", "sds")[i // 2]
+            backend = ("vectorized", "auto")[i % 2]
+            engine, _, mode = code.partition(":")
+            cells[name, method, backend] = (ENGINE_CODES[engine], mode or None)
+    return cells
+
+
+ROUTE_CELLS = _route_cells()
+
+
+def _route_model(name):
+    if name.startswith("paper:"):
+        return load_paper_node(name[len("paper:"):])
+    return bench_model_instances()[name]
+
+
+class TestRoutingTable:
+    """Every (model, method, backend) cell of the vectorized routing
+    rule: the bench models, their adapter, and the compiled paper nodes."""
+
+    def test_table_covers_every_model(self):
+        names = {name for name, _, _ in ROUTE_CELLS}
+        assert names == set(bench_model_instances()) | {
+            "paper:hmm", "paper:delay_kalman", "paper:coin"
+        }
+        assert len(ROUTE_CELLS) == 102
+
+    @pytest.mark.parametrize("name,method,backend", sorted(ROUTE_CELLS))
+    def test_engine_and_mode(self, name, method, backend):
+        engine = infer(
+            _route_model(name), n_particles=4, method=method, backend=backend,
+            seed=0,
+        )
+        engine_cls, mode = ROUTE_CELLS[name, method, backend]
+        assert type(engine) is engine_cls
+        assert getattr(engine, "mode", None) == mode

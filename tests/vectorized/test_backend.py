@@ -99,9 +99,10 @@ class TestFallback:
         dist, _ = engine.step(engine.init(), None)
         assert np.isfinite(dist.mean())
 
-    def test_direct_vectorized_model_accepted(self):
+    @pytest.mark.parametrize("backend", ["vectorized", "auto"])
+    def test_direct_vectorized_model_accepted(self, backend):
         engine = infer(
-            VectorizedKalman(), n_particles=4, method="pf", backend="vectorized", seed=0
+            VectorizedKalman(), n_particles=4, method="pf", backend=backend, seed=0
         )
         assert isinstance(engine, VectorizedParticleFilter)
         dist, _ = engine.step(engine.init(), 0.5)
