@@ -24,7 +24,13 @@ import numpy as np
 
 from repro.errors import DistributionError
 
-__all__ = ["Distribution", "ScalarDistribution", "require_positive", "require_prob"]
+__all__ = [
+    "Distribution",
+    "ScalarDistribution",
+    "normalize_weights",
+    "require_positive",
+    "require_prob",
+]
 
 
 def require_positive(name: str, value: float) -> float:
@@ -41,6 +47,31 @@ def require_prob(name: str, value: float) -> float:
     if math.isnan(value) or not 0.0 <= value <= 1.0:
         raise DistributionError(f"{name} must be in [0, 1], got {value!r}")
     return value
+
+
+def normalize_weights(weights: np.ndarray, name: str = "weights") -> np.ndarray:
+    """A float weight vector divided by its total, after checking it.
+
+    Negative entries and an all-zero vector are rejected. Only the
+    scalar total is tested further: an infinite total comes from an
+    infinite weight, which is rejected (``inf / inf`` would be NaN), or
+    from finite weights whose sum overflows, which are scaled by their
+    maximum first so that they do not all divide to zero. NumPy still
+    warns about that overflow: silencing it would cost every call an
+    ``errstate`` block.
+    """
+    if np.any(weights < 0):
+        raise DistributionError(f"{name} must be non-negative")
+    total = weights.sum()
+    if not total > 0:
+        raise DistributionError(f"{name} must not all be zero")
+    if total == math.inf:
+        top = weights.max()
+        if top == math.inf:
+            raise DistributionError(f"{name} must be finite")
+        weights = weights / top
+        total = weights.sum()
+    return weights / total
 
 
 class Distribution(abc.ABC):

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dists.base import Distribution
+from repro.dists.base import Distribution, normalize_weights
 from repro.errors import DistributionError
 
 __all__ = ["Categorical", "Dirichlet", "Empirical"]
@@ -28,12 +28,7 @@ class Categorical(Distribution):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise DistributionError("probs must be a non-empty vector")
-        if np.any(probs < 0):
-            raise DistributionError("probs must be non-negative")
-        total = probs.sum()
-        if not total > 0:
-            raise DistributionError("probs must not all be zero")
-        self.probs = probs / total
+        self.probs = normalize_weights(probs, "probs")
         self.probs.setflags(write=False)
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -134,12 +129,7 @@ class Empirical(Distribution):
             weights = np.asarray(weights, dtype=float)
             if weights.size != len(values):
                 raise DistributionError("values and weights must have equal length")
-            if np.any(weights < 0):
-                raise DistributionError("weights must be non-negative")
-            total = weights.sum()
-            if not total > 0:
-                raise DistributionError("weights must not all be zero")
-            weights = weights / total
+            weights = normalize_weights(weights)
         self.values = values
         self.weights = weights
         self.weights.setflags(write=False)

@@ -17,7 +17,7 @@ from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-from repro.dists.base import Distribution
+from repro.dists.base import Distribution, normalize_weights
 from repro.errors import DistributionError
 from repro.obs.registry import count_event
 
@@ -72,13 +72,7 @@ class Mixture(Distribution):
             weights = np.asarray(weights, dtype=float)
             if weights.size != len(components):
                 raise DistributionError("components/weights length mismatch")
-            weights = zero_nan_weights(weights, stacklevel=3)
-            if np.any(weights < 0):
-                raise DistributionError("weights must be non-negative")
-            total = weights.sum()
-            if not total > 0:
-                raise DistributionError("weights must not all be zero")
-            weights = weights / total
+            weights = normalize_weights(zero_nan_weights(weights, stacklevel=3))
         self.components = components
         self.weights = weights
         self.weights.setflags(write=False)

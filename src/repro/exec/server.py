@@ -360,8 +360,10 @@ class StreamServer:
                 session.state.release()
             except Exception:
                 # Releasing is best-effort on the error path: the
-                # original failure is the one the caller must see.
-                pass
+                # original failure is the one the caller must see. The
+                # counter records that worker-resident shards may have
+                # been left behind.
+                count_event("repro_session_release_failures_total")
 
     def drain(self) -> int:
         """Run scheduling rounds until no session has pending input."""

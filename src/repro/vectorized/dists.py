@@ -17,10 +17,11 @@ from typing import Any
 import numpy as np
 
 from repro.dists import Beta, Dirichlet, Gamma, Gaussian, MvGaussian, Poisson
-from repro.dists.base import Distribution
+from repro.dists.base import Distribution, normalize_weights
 from repro.dists.mixture import zero_nan_weights
 from repro.dists.mv_gaussian import batched_mv_log_pdf
 from repro.errors import DistributionError
+from repro.vectorized.kernels import _lgamma
 
 __all__ = [
     "ArrayEmpirical",
@@ -41,13 +42,7 @@ def _normalize_weights(weights, size: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.size != size:
         raise DistributionError("values and weights must have equal length")
-    weights = zero_nan_weights(weights, stacklevel=4)
-    if np.any(weights < 0):
-        raise DistributionError("weights must be non-negative")
-    total = weights.sum()
-    if not total > 0:
-        raise DistributionError("weights must not all be zero")
-    return weights / total
+    return normalize_weights(zero_nan_weights(weights, stacklevel=4))
 
 
 class ArrayEmpirical(Distribution):
@@ -280,12 +275,11 @@ class BetaMixtureArray(Distribution):
         self.alphas = alphas
         self.betas = betas
         self.weights = _normalize_weights(weights, alphas.size)
-        # NumPy has no lgamma ufunc; the Python-loop normalizer is paid
-        # once here, not on every log_pdf query.
-        lgamma = np.vectorize(math.lgamma, otypes=[float])
-        self._log_norm = (
-            lgamma(alphas + betas) - lgamma(alphas) - lgamma(betas)
-        )
+        # NumPy has no lgamma ufunc, so the normalizer is a Python loop
+        # over the components. Only log_pdf reads it: the first query
+        # computes it and later ones reuse it, and a posterior that is
+        # only asked for its moments never pays for it.
+        self._log_norm = None
         self.alphas.setflags(write=False)
         self.betas.setflags(write=False)
         self.weights.setflags(write=False)
@@ -298,6 +292,11 @@ class BetaMixtureArray(Distribution):
         value = float(value)
         if not 0.0 < value < 1.0:
             return -math.inf
+        if self._log_norm is None:
+            alphas, betas = self.alphas, self.betas
+            self._log_norm = (
+                _lgamma(alphas + betas) - _lgamma(alphas) - _lgamma(betas)
+            )
         logs = (
             self._log_norm
             + (self.alphas - 1.0) * math.log(value)
@@ -362,10 +361,8 @@ class GammaMixtureArray(Distribution):
         self.shapes = shapes
         self.rates = rates
         self.weights = _normalize_weights(weights, shapes.size)
-        # NumPy has no lgamma ufunc; the Python-loop normalizer is paid
-        # once here, not on every log_pdf query.
-        lgamma = np.vectorize(math.lgamma, otypes=[float])
-        self._log_norm = shapes * np.log(rates) - lgamma(shapes)
+        # Computed by the first log_pdf query, as for BetaMixtureArray.
+        self._log_norm = None
         self.shapes.setflags(write=False)
         self.rates.setflags(write=False)
         self.weights.setflags(write=False)
@@ -378,6 +375,8 @@ class GammaMixtureArray(Distribution):
         value = float(value)
         if not value > 0.0:
             return -math.inf
+        if self._log_norm is None:
+            self._log_norm = self.shapes * np.log(self.rates) - _lgamma(self.shapes)
         logs = (
             self._log_norm
             + (self.shapes - 1.0) * math.log(value)

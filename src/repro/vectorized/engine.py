@@ -108,7 +108,12 @@ __all__ = [
 
 
 def _merge(pieces: List[Any]) -> Any:
-    """Concatenate per-shard array pytrees (no copy for one shard)."""
+    """Per-shard array pytrees as one population-sized pytree.
+
+    Several shards are concatenated into fresh arrays. One shard's
+    pytree is returned as it is, without a copy, so the caller must not
+    write to the result.
+    """
     if len(pieces) == 1:
         return pieces[0]
     return concat_states(pieces)
@@ -156,8 +161,8 @@ class VectorizedEngine(InferenceEngine):
         results, population = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
         outs = _merge([r.outs for r in results])
-        step_logw = np.concatenate([r.step_log_weights for r in results])
-        prev_logw = np.concatenate([r.prev_log_weights for r in results])
+        step_logw = _merge([r.step_log_weights for r in results])
+        prev_logw = _merge([r.prev_log_weights for r in results])
         log_weights = prev_logw + step_logw
         weights = normalize_log_weights(log_weights)
         self._record_stats(prev_logw, step_logw, weights)
@@ -174,14 +179,18 @@ class VectorizedEngine(InferenceEngine):
             )
             merged = _merge([r.payload.state for r in results])
             gathered = gather(merged, indices)
-            chunks, start = [], 0
-            for size in sizes:
-                chunks.append(
-                    ParticleBatch(
-                        slice_state(gathered, start, start + size), np.zeros(size)
+            if len(sizes) == 1:
+                # The gathered state is fresh and already the whole shard.
+                chunks = [ParticleBatch(gathered, np.zeros(sizes[0]))]
+            else:
+                chunks, start = [], 0
+                for size in sizes:
+                    chunks.append(
+                        ParticleBatch(
+                            slice_state(gathered, start, start + size), np.zeros(size)
+                        )
                     )
-                )
-                start += size
+                    start += size
             timer.mark("resample")
         else:
             chunks, start = [], 0

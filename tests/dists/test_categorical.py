@@ -109,3 +109,28 @@ class TestEmpirical:
         dist = Empirical(["a", "b"], weights=[0.9, 0.1])
         freq = np.mean([dist.sample(rng) == "a" for _ in range(5000)])
         assert freq == pytest.approx(0.9, abs=0.02)
+
+
+class TestNonFiniteWeightTotals:
+    """An infinite weight is rejected; finite weights whose sum
+    overflows are scaled by their maximum instead of dividing to zero."""
+
+    def test_empirical_infinite_weight_rejected(self):
+        with pytest.raises(DistributionError, match="finite"):
+            Empirical([0.0, 1.0], weights=[math.inf, 1.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_empirical_overflowing_sum_rescaled(self):
+        dist = Empirical([0.0, 1.0], weights=[1e308, 1e308])
+        assert dist.weights.tolist() == [0.5, 0.5]
+        assert dist.mean() == 0.5
+
+    def test_categorical_infinite_prob_rejected(self):
+        with pytest.raises(DistributionError, match="finite"):
+            Categorical([1.0, math.inf])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_categorical_overflowing_sum_rescaled(self):
+        dist = Categorical([1e308, 1e308, 0.0])
+        assert dist.probs.tolist() == [0.5, 0.5, 0.0]
+        assert dist.mean() == 0.5

@@ -114,3 +114,25 @@ class TestNaNWeights:
             _warnings.simplefilter("error")
             dist = Mixture([Delta(0.0), Delta(1.0)], weights=[0.25, 0.75])
         assert dist.mean() == pytest.approx(0.75)
+
+
+class TestNonFiniteWeightTotals:
+    """The weight total is checked for infinity: an infinite weight made
+    ``inf / inf`` NaN weights, and finite weights whose sum overflowed
+    all divided to zero."""
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(DistributionError, match="finite"):
+            Mixture([Delta(0.0), Delta(1.0)], weights=[math.inf, 1.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_rescaled(self):
+        dist = Mixture([Delta(0.0), Delta(1.0)], weights=[1.5e308, 5e307])
+        assert dist.weights.tolist() == pytest.approx([0.75, 0.25])
+        assert dist.mean() == pytest.approx(0.25)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_equal_huge_weights_are_uniform(self):
+        dist = Mixture([Delta(0.0), Delta(1.0)], weights=[1e308, 1e308])
+        assert dist.weights.tolist() == [0.5, 0.5]
+        assert dist.mean() == 0.5

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench.models import HmmModel
 from repro.errors import InferenceError
+from repro.exec.population import ResidentPopulation
 from repro.exec.server import StreamServer
 from repro.obs.registry import MetricsRegistry, default_registry
 from repro.obs.spans import PHASE_HISTOGRAM, telemetry
@@ -17,6 +18,26 @@ class FailingModel(ProbNode):
 
     def step(self, state, obs, ctx: ProbCtx):
         raise InferenceError("broken model")
+
+
+class StrandedPopulation(ResidentPopulation):
+    """A worker-resident population whose pool is gone: its step, its
+    recovery from checkpoints and its release all fail."""
+
+    key = 0
+
+    def __init__(self):
+        self._released = False
+        self.executor = self
+
+    def map_step(self, inp, trace=False):
+        raise InferenceError("worker lost")
+
+    def recover_population(self, key):
+        raise InferenceError("worker lost")
+
+    def release(self):
+        raise OSError("pool already shut down")
 
 
 def serve_traffic(n_sessions=3, n_obs=4, **server_kwargs):
@@ -74,6 +95,18 @@ class TestEviction:
         server.open(HmmModel(), session_id="ok", n_particles=4)
         server.close("ok")
         assert server.metrics_snapshot()["sessions"]["evicted"] == 1
+
+    def test_failed_release_is_counted(self, fresh_registry):
+        server = StreamServer()
+        server.open(HmmModel(), session_id="stranded", n_particles=4)
+        server._sessions["stranded"].state = StrandedPopulation()
+        server.submit("stranded", 1.0)
+        # the session's own failure propagates, not the release's
+        with pytest.raises(InferenceError, match="worker lost"):
+            server.tick()
+        assert server.metrics_snapshot()["sessions"] == {"active": 0, "evicted": 1}
+        counter = default_registry().get("repro_session_release_failures_total")
+        assert counter is not None and counter.value == 1.0
 
 
 class TestServerTracing:

@@ -1,11 +1,24 @@
 """Array-backed posterior distributions vs their object-per-particle twins."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.dists import Empirical, Gaussian, Mixture
+from repro.dists import Beta, Empirical, Gamma, Gaussian, Mixture
 from repro.errors import DistributionError
-from repro.vectorized import ArrayEmpirical, GaussianMixtureArray
+from repro.vectorized import (
+    ArrayEmpirical,
+    BetaMixtureArray,
+    CountMixtureArray,
+    DirichletMixtureArray,
+    GammaMixtureArray,
+    GaussianMixtureArray,
+    MvGaussianMixtureArray,
+)
+from repro.vectorized import dists as vdists
+from repro.vectorized import kernels
 
 
 class TestArrayEmpirical:
@@ -157,3 +170,127 @@ class TestNaNWeights:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(DistributionError):
                 GaussianMixtureArray([0.0], [1.0], weights=[np.nan])
+
+
+#: each array-backed output with two components; equal weights give the
+#: expected mean
+TWO_COMPONENT_ARRAYS = {
+    "empirical": (lambda w: ArrayEmpirical([0.0, 1.0], w), 0.5),
+    "gaussian": (lambda w: GaussianMixtureArray([0.0, 1.0], [1.0, 1.0], w), 0.5),
+    "mv_gaussian": (
+        lambda w: MvGaussianMixtureArray([[0.0, 0.0], [1.0, 1.0]], np.eye(2), w),
+        [0.5, 0.5],
+    ),
+    "beta": (lambda w: BetaMixtureArray([1.0, 3.0], [3.0, 1.0], w), 0.5),
+    "gamma": (lambda w: GammaMixtureArray([1.0, 3.0], [1.0, 1.0], w), 2.0),
+    "dirichlet": (
+        lambda w: DirichletMixtureArray([[1.0, 3.0], [3.0, 1.0]], w),
+        [0.5, 0.5],
+    ),
+    "count": (lambda w: CountMixtureArray([1.0, 3.0], None, w), 2.0),
+}
+
+
+class TestNonFiniteWeightTotals:
+    """An infinite weight gave ``inf / inf`` NaN weights, and finite
+    weights whose sum overflowed all divided to zero (a Beta mixture's
+    mean read 0.0 instead of 0.5)."""
+
+    @pytest.mark.parametrize("kind", sorted(TWO_COMPONENT_ARRAYS))
+    def test_infinite_weight_rejected(self, kind):
+        build, _ = TWO_COMPONENT_ARRAYS[kind]
+        with pytest.raises(DistributionError, match="finite"):
+            build([math.inf, 1.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(TWO_COMPONENT_ARRAYS))
+    def test_overflowing_sum_rescaled(self, kind):
+        build, mean = TWO_COMPONENT_ARRAYS[kind]
+        dist = build([1e308, 1e308])
+        assert dist.weights.tolist() == [0.5, 0.5]
+        assert np.asarray(dist.mean()).tolist() == pytest.approx(mean)
+
+
+#: distinct components with unequal weights, and the scalar Mixture of
+#: the same components that the array form must score like
+BETA_PARAMS = ([0.7, 2.0, 5.5, 12.0], [1.3, 4.0, 2.5, 3.0])
+GAMMA_PARAMS = ([0.8, 2.0, 4.5, 9.0], [0.5, 1.0, 3.0, 2.5])
+MIXTURE_WEIGHTS = [0.1, 0.2, 0.3, 0.4]
+DEFERRED = {
+    "beta": (
+        lambda: BetaMixtureArray(*BETA_PARAMS, MIXTURE_WEIGHTS),
+        lambda: Mixture([Beta(a, b) for a, b in zip(*BETA_PARAMS)], MIXTURE_WEIGHTS),
+        (0.02, 0.3, 0.5, 0.77, 0.99),
+    ),
+    "gamma": (
+        lambda: GammaMixtureArray(*GAMMA_PARAMS, MIXTURE_WEIGHTS),
+        lambda: Mixture([Gamma(k, r) for k, r in zip(*GAMMA_PARAMS)], MIXTURE_WEIGHTS),
+        (0.05, 0.9, 2.0, 4.7, 11.0),
+    ),
+}
+
+
+class TestDeferredLogNormalizer:
+    """The Beta and Gamma arrays leave their lgamma normalizer to the
+    first ``log_pdf``: a posterior that is only asked for its moments
+    never runs the Python-level lgamma loop."""
+
+    @pytest.fixture
+    def lgamma_calls(self, monkeypatch):
+        """Count lgamma evaluations, per element and per array call."""
+        counts = {"math": 0, "array": 0}
+        real_math, real_array = math.lgamma, kernels._lgamma
+
+        def math_lgamma(x):
+            counts["math"] += 1
+            return real_math(x)
+
+        def array_lgamma(x):
+            counts["array"] += 1
+            return real_array(x)
+
+        monkeypatch.setattr(math, "lgamma", math_lgamma)
+        monkeypatch.setattr(vdists, "_lgamma", array_lgamma, raising=False)
+        return counts
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED))
+    def test_building_evaluates_no_lgamma(self, kind, lgamma_calls):
+        build, _, _ = DEFERRED[kind]
+        dist = build()
+        dist.mean()
+        dist.variance()
+        assert lgamma_calls == {"math": 0, "array": 0}
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED))
+    def test_normalizer_computed_once(self, kind, lgamma_calls):
+        build, _, points = DEFERRED[kind]
+        dist = build()
+        dist.log_pdf(points[0])
+        first = lgamma_calls["array"]
+        assert first > 0
+        for x in points:
+            dist.log_pdf(x)
+        assert lgamma_calls["array"] == first
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED))
+    def test_log_pdf_matches_scalar_mixture(self, kind):
+        build, reference, points = DEFERRED[kind]
+        dist, ref = build(), reference()
+        for x in points:
+            assert dist.log_pdf(x) == pytest.approx(ref.log_pdf(x), rel=1e-12)
+        assert dist.log_pdf(-1.0) == -math.inf
+
+    @pytest.mark.parametrize("kind", sorted(DEFERRED))
+    def test_log_pdf_after_pickle_round_trip(self, kind, lgamma_calls):
+        build, reference, points = DEFERRED[kind]
+        dist, ref = build(), reference()
+        unqueried = pickle.loads(pickle.dumps(dist))
+        dist.log_pdf(points[0])
+        queried = pickle.loads(pickle.dumps(dist))
+        computed = lgamma_calls["array"]
+        for x in points:
+            assert queried.log_pdf(x) == pytest.approx(ref.log_pdf(x), rel=1e-12)
+        # the normalizer travelled with the queried copy
+        assert lgamma_calls["array"] == computed
+        for x in points:
+            assert unqueried.log_pdf(x) == pytest.approx(ref.log_pdf(x), rel=1e-12)
