@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import abc
 import math
+import warnings
 from typing import Any
 
 import numpy as np
 
 from repro.errors import DistributionError
+from repro.obs.registry import count_event
 
 __all__ = [
     "Distribution",
@@ -49,20 +51,44 @@ def require_prob(name: str, value: float) -> float:
     return value
 
 
-def normalize_weights(weights: np.ndarray, name: str = "weights") -> np.ndarray:
+def normalize_weights(
+    weights: np.ndarray, name: str = "weights", stacklevel: int = 3
+) -> np.ndarray:
     """A float weight vector divided by its total, after checking it.
 
-    Negative entries and an all-zero vector are rejected. Only the
-    scalar total is tested further: an infinite total comes from an
-    infinite weight, which is rejected (``inf / inf`` would be NaN), or
-    from finite weights whose sum overflows, which are scaled by their
-    maximum first so that they do not all divide to zero. NumPy still
-    warns about that overflow: silencing it would cost every call an
-    ``errstate`` block.
+    This is the weight rule of every posterior (mixtures, empirical and
+    categorical distributions, and their array forms):
+
+    * a NaN entry is zeroed, loudly: it is counted in
+      ``repro_nan_mixture_weights_total`` and emits one
+      :class:`RuntimeWarning` (``stacklevel`` is passed on), matching the
+      per-particle NaN rule of
+      :func:`repro.inference.resampling.normalize_log_weights`;
+    * negative entries and an all-zero (or all-NaN) vector are rejected;
+    * an infinite entry is rejected (``inf / inf`` would be NaN);
+    * finite weights whose sum overflows are scaled by their maximum
+      first, so that they do not all divide to zero. NumPy still warns
+      about that overflow: silencing it would cost every call an
+      ``errstate`` block.
+
+    Only the scalar total is tested on the common path: with no
+    negative entry, the total is NaN exactly when an entry is.
     """
     if np.any(weights < 0):
         raise DistributionError(f"{name} must be non-negative")
     total = weights.sum()
+    if math.isnan(total):
+        nan_mask = np.isnan(weights)
+        count = int(nan_mask.sum())
+        count_event("repro_nan_mixture_weights_total", amount=count)
+        warnings.warn(
+            f"{count} NaN mixture weight(s) treated as zero; "
+            "check the kernel that produced them",
+            RuntimeWarning,
+            stacklevel=stacklevel,
+        )
+        weights = np.where(nan_mask, 0.0, weights)
+        total = weights.sum()
     if not total > 0:
         raise DistributionError(f"{name} must not all be zero")
     if total == math.inf:

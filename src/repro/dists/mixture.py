@@ -12,41 +12,14 @@ correct marginal view for reporting per-component posteriors.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any, Sequence, Tuple
 
 import numpy as np
 
 from repro.dists.base import Distribution, normalize_weights
 from repro.errors import DistributionError
-from repro.obs.registry import count_event
 
-__all__ = ["Mixture", "TupleDist", "zero_nan_weights"]
-
-
-def zero_nan_weights(weights: np.ndarray, stacklevel: int = 3) -> np.ndarray:
-    """Replace NaN mixture weights with zero, loudly.
-
-    ``np.any(weights < 0)`` is silently False for NaN, so without this
-    check the mixture constructors accepted NaN weights and poisoned
-    every downstream moment. The policy matches the per-particle NaN
-    handling of :func:`repro.inference.resampling.normalize_log_weights`:
-    zero weight for that component alone, with a :class:`RuntimeWarning`
-    so the broken kernel stays visible.
-    """
-    nan_mask = np.isnan(weights)
-    if nan_mask.any():
-        count_event(
-            "repro_nan_mixture_weights_total", amount=int(nan_mask.sum())
-        )
-        warnings.warn(
-            f"{int(nan_mask.sum())} NaN mixture weight(s) treated as zero; "
-            "check the kernel that produced them",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
-        weights = np.where(nan_mask, 0.0, weights)
-    return weights
+__all__ = ["Mixture", "TupleDist"]
 
 
 def _logsumexp(values) -> float:
@@ -72,7 +45,7 @@ class Mixture(Distribution):
             weights = np.asarray(weights, dtype=float)
             if weights.size != len(components):
                 raise DistributionError("components/weights length mismatch")
-            weights = normalize_weights(zero_nan_weights(weights, stacklevel=3))
+            weights = normalize_weights(weights)
         self.components = components
         self.weights = weights
         self.weights.setflags(write=False)

@@ -92,6 +92,7 @@ from repro.vectorized.sds_graph import (
     ChainStructureError,
     _map_leaves,
     delta_rows,
+    has_particle_rows,
     lift_output,
     wrap_batch_state,
 )
@@ -620,11 +621,7 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
         n = chain_state.n
 
         def row(leaf: Any, i: int) -> Any:
-            if (
-                isinstance(leaf, np.ndarray)
-                and leaf.ndim >= 1
-                and leaf.shape[0] == n
-            ):
+            if has_particle_rows(leaf, n):
                 value = leaf[i]
                 return value.item() if np.ndim(value) == 0 else np.array(value)
             return leaf

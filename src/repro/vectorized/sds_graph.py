@@ -128,6 +128,7 @@ from repro.symbolic import (
     SymExpr,
     extract_affine,
     is_symbolic,
+    rebuild_tuple,
 )
 from repro.vectorized.kernels import (
     bernoulli_log_prob,
@@ -1446,7 +1447,7 @@ def batched_eval(expr: Any, graph: BatchedDSGraph) -> Any:
             reason="unsupported-op",
         )
     if isinstance(expr, tuple):
-        return tuple(batched_eval(v, graph) for v in expr)
+        return rebuild_tuple(expr, [batched_eval(v, graph) for v in expr])
     if isinstance(expr, list):
         return [batched_eval(v, graph) for v in expr]
     if isinstance(expr, dict):
@@ -1541,10 +1542,24 @@ register_shm_leaf(
 )
 
 
+def has_particle_rows(value: Any, n: int) -> bool:
+    """Whether a state leaf holds one row per particle.
+
+    The batched engines guess it from the shape: an array whose leading
+    axis is the particle count ``n``. A shared array of that length is
+    taken for per-particle rows too.
+    """
+    return isinstance(value, np.ndarray) and value.ndim >= 1 and value.shape[0] == n
+
+
 def _map_leaves(value: Any, fn) -> Any:
-    """Rebuild a state pytree, applying ``fn`` to every non-container leaf."""
+    """Rebuild a state pytree, applying ``fn`` to every non-container leaf.
+
+    Tuples keep their type, so a namedtuple model state stays one.
+    """
     if isinstance(value, tuple):
-        return tuple(_map_leaves(v, fn) for v in value)
+        items = [_map_leaves(v, fn) for v in value]
+        return tuple(items) if type(value) is tuple else rebuild_tuple(value, items)
     if isinstance(value, list):
         return [_map_leaves(v, fn) for v in value]
     if isinstance(value, dict):
@@ -1556,7 +1571,8 @@ def _zip_leaves(values: List[Any], fn) -> Any:
     """Rebuild parallel state pytrees into one, applying ``fn`` leafwise."""
     head = values[0]
     if isinstance(head, tuple):
-        return tuple(_zip_leaves(list(parts), fn) for parts in zip(*values))
+        items = [_zip_leaves(list(parts), fn) for parts in zip(*values)]
+        return tuple(items) if type(head) is tuple else rebuild_tuple(head, items)
     if isinstance(head, list):
         return [_zip_leaves(list(parts), fn) for parts in zip(*values)]
     if isinstance(head, dict):
@@ -1622,9 +1638,7 @@ class ChainState:
                 if new_graph is None:
                     raise GraphError("symbolic state leaf without a graph")
                 return _remap_expr(value, new_graph)
-            if isinstance(value, np.ndarray) and value.ndim >= 1 and (
-                value.shape[0] == self.n
-            ):
+            if has_particle_rows(value, self.n):
                 return array_op(value)
             return value
 
@@ -1660,15 +1674,10 @@ class ChainState:
                 if new_graph is None:
                     raise GraphError("symbolic state leaf without a graph")
                 return _remap_expr(head, new_graph)
-            # Same per-particle predicate as _transform: a leaf whose
-            # leading axis is the shard's particle count concatenates;
-            # shared arrays (fixed parameter vectors) pass through — the
-            # slice left them intact, so the merge must too.
-            if (
-                isinstance(head, np.ndarray)
-                and head.ndim >= 1
-                and head.shape[0] == self.n
-            ):
+            # Per-particle leaves concatenate; shared arrays (fixed
+            # parameter vectors) pass through: the slice left them
+            # intact, so the merge must too.
+            if has_particle_rows(head, self.n):
                 return np.concatenate(values)
             return head
 
@@ -1707,9 +1716,7 @@ def wrap_batch_state(model_state: Any, n: int) -> Any:
     """
 
     def leaf(value: Any) -> Any:
-        if isinstance(value, np.ndarray) and value.ndim >= 1 and value.shape[0] == n:
-            return BatchConst(value)
-        return value
+        return BatchConst(value) if has_particle_rows(value, n) else value
 
     return _map_leaves(model_state, leaf)
 

@@ -134,3 +134,44 @@ class TestNonFiniteWeightTotals:
         dist = Categorical([1e308, 1e308, 0.0])
         assert dist.probs.tolist() == [0.5, 0.5, 0.0]
         assert dist.mean() == 0.5
+
+
+class TestNaNWeights:
+    """Empirical and Categorical follow the Mixture NaN rule: a NaN
+    weight is zeroed with one RuntimeWarning and counted; they used to
+    reject it as "must not all be zero"."""
+
+    @staticmethod
+    def nan_count():
+        from repro.obs.registry import default_registry
+
+        counter = default_registry().get("repro_nan_mixture_weights_total")
+        return 0.0 if counter is None else counter.value
+
+    def test_empirical_zeroes_nan(self):
+        before = self.nan_count()
+        with pytest.warns(RuntimeWarning, match="NaN mixture weight"):
+            dist = Empirical([0.0, 1.0], [math.nan, 1.0])
+        assert dist.weights.tolist() == [0.0, 1.0]
+        assert dist.mean() == 1.0
+        assert self.nan_count() == before + 1
+
+    def test_categorical_zeroes_nan(self):
+        before = self.nan_count()
+        with pytest.warns(RuntimeWarning, match="NaN mixture weight"):
+            dist = Categorical([math.nan, 1.0, 3.0])
+        assert dist.probs.tolist() == [0.0, 0.25, 0.75]
+        assert self.nan_count() == before + 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Empirical([0.0, 1.0], [math.nan, math.nan]),
+            lambda: Categorical([math.nan, math.nan]),
+        ],
+        ids=["empirical", "categorical"],
+    )
+    def test_all_nan_rejected(self, build):
+        with pytest.warns(RuntimeWarning, match="NaN mixture weight"):
+            with pytest.raises(DistributionError, match="must not all be zero"):
+                build()

@@ -79,9 +79,12 @@ def weight_vectors(draw):
             )
         )
         return normalize_log_weights(logw)
+    # Scale before the positive-sum check: a subnormal atom scaled by
+    # 1e-3 underflows to zero and left an all-zero vector.
+    w = w * draw(st.sampled_from([1.0, 1e-3, 7.0]))
     if not w.sum() > 0:
         w[draw(st.integers(min_value=0, max_value=m - 1))] = 1.0
-    return w * draw(st.sampled_from([1.0, 1e-3, 7.0]))
+    return w
 
 
 _draws = st.one_of(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.dists.mixture import zero_nan_weights
+from repro.dists.base import normalize_weights
 from repro.inference.resampling import normalize_log_weights
 from repro.obs.registry import default_registry
 from repro.runtime.node import ProbCtx, ProbNode
@@ -80,9 +80,9 @@ class TestNanCounters:
     def test_nan_mixture_weights_count_per_component(self):
         weights = np.array([0.5, np.nan, 0.5])
         with pytest.warns(RuntimeWarning, match="NaN mixture weight"):
-            zero_nan_weights(weights)
+            normalize_weights(weights)
         assert counter_value("repro_nan_mixture_weights_total") == 1.0
-        zero_nan_weights(np.array([0.5, 0.5]))
+        normalize_weights(np.array([0.5, 0.5]))
         assert counter_value("repro_nan_mixture_weights_total") == 1.0
 
 

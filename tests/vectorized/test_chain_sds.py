@@ -12,6 +12,8 @@ Three layers of checks:
   instead of computing something silently different.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -383,7 +385,68 @@ class TestCustomChain:
         assert isinstance(engine, StreamingDelayedSampler)
 
 
+NamedState = namedtuple("NamedState", "x t")
+
+
+class NamedStateChain(ProbNode):
+    """ScaledChainModel with a namedtuple state that the step reads by field."""
+
+    def init(self):
+        return NamedState(None, 0)
+
+    def step(self, state, yobs, ctx: ProbCtx):
+        if state.x is None:
+            xt = ctx.sample(gaussian(0.0, 4.0))
+        else:
+            xt = ctx.sample(gaussian(0.9 * state.x + 0.5, 0.3))
+        ctx.observe(gaussian(2.0 * xt, 0.4), yobs)
+        return xt, NamedState(xt, state.t + 1)
+
+
+class TestNamedTupleState:
+    @pytest.mark.parametrize("method", ["bds", "sds"])
+    def test_graph_engine_keeps_namedtuple_state(self, method):
+        """The batched graph engine rebuilt every state tuple as a plain
+        tuple, so ``state.x`` failed at the second instant."""
+        from repro.vectorized import register_ds_graph_model
+        from repro.vectorized.models import DS_GRAPH_MODELS
+
+        register_ds_graph_model(NamedStateChain)
+        try:
+            data = [0.3, -0.1, 0.8, 0.2, 0.5, 1.1]
+
+            def run(backend):
+                engine = infer(
+                    NamedStateChain(), n_particles=50, method=method,
+                    backend=backend, seed=3,
+                )
+                state = engine.init()
+                moments = []
+                for y in data:
+                    dist, state = engine.step(state, y)
+                    moments.append((dist.mean(), dist.variance()))
+                return engine, np.array(moments)
+
+            engine, batched = run("vectorized")
+            assert isinstance(engine, VectorizedGaussianChainSDS)
+            _, scalar = run("scalar")
+            np.testing.assert_allclose(batched, scalar, rtol=1e-10)
+        finally:
+            DS_GRAPH_MODELS.pop(NamedStateChain, None)
+
+
 class TestChainStateRowOps:
+    def test_namedtuple_state_survives_row_ops(self):
+        from repro.vectorized import ChainState
+
+        state = ChainState(None, NamedState(np.arange(4.0), 7), 4)
+        merged = state.batch_slice(0, 2).batch_concat([state.batch_slice(2, 4)])
+        gathered = state.batch_gather(np.array([3, 3, 0, 1]))
+        for moved in (merged, gathered):
+            assert type(moved.model_state) is NamedState
+            assert moved.model_state.t == 7
+        assert np.array_equal(gathered.model_state.x, [3.0, 3.0, 0.0, 1.0])
+
     def test_shared_array_leaves_survive_slice_concat(self):
         """A fixed parameter vector in the state pytree must pass through
         the shard split/merge untouched — only per-particle leaves (the

@@ -294,3 +294,147 @@ class TestDeferredLogNormalizer:
         assert lgamma_calls["array"] == computed
         for x in points:
             assert unqueried.log_pdf(x) == pytest.approx(ref.log_pdf(x), rel=1e-12)
+
+
+#: every array posterior with distinct components and unequal weights:
+#: (build, scalar reference, log_pdf points, memory_words, array attributes)
+LAW_WEIGHTS = [0.1, 0.4, 0.2, 0.3]
+MV_MEANS = [[0.0, 0.5], [1.0, -1.0], [2.5, 0.0], [-1.0, 2.0]]
+MV_COV = [[1.0, 0.3], [0.3, 0.5]]
+DIRICHLET_ALPHAS = [[1.0, 2.0, 3.0], [4.0, 1.5, 0.5], [2.0, 2.0, 2.0], [0.7, 5.0, 1.2]]
+COUNT_P0 = [0.5, 2.0, 4.0, 7.5]
+COUNT_RATES = [0.5, 1.0, 2.0, 0.8]
+
+
+def _mixture_of_components(build):
+    dist = build()
+    return Mixture([dist.component(i) for i in range(len(dist))], LAW_WEIGHTS)
+
+
+LAW_CASES = {
+    "empirical": (
+        lambda: ArrayEmpirical([0.5, -1.0, 2.0, 0.5], LAW_WEIGHTS),
+        lambda: Empirical([0.5, -1.0, 2.0, 0.5], LAW_WEIGHTS),
+        (0.5, 2.0, 3.0),
+        10,
+        ("values", "weights"),
+    ),
+    "empirical-vector": (
+        lambda: ArrayEmpirical(MV_MEANS, LAW_WEIGHTS),
+        lambda: Empirical([np.array(m) for m in MV_MEANS], LAW_WEIGHTS),
+        ([1.0, -1.0], [3.0, 3.0]),
+        14,
+        ("values", "weights"),
+    ),
+    "gaussian": (
+        lambda: GaussianMixtureArray([-1.0, 0.5, 2.0, 4.0], [1.0, 0.5, 2.0, 0.3], LAW_WEIGHTS),
+        None,
+        (-2.0, 0.3, 1.7, 4.1),
+        14,
+        ("mus", "vars", "weights"),
+    ),
+    "mv_gaussian": (
+        lambda: MvGaussianMixtureArray(MV_MEANS, MV_COV, LAW_WEIGHTS),
+        None,
+        ([0.1, -0.2], [1.5, 2.0], [-1.0, 2.2]),
+        18,
+        ("means", "cov", "weights"),
+    ),
+    "beta": (
+        lambda: BetaMixtureArray(*BETA_PARAMS, LAW_WEIGHTS),
+        None,
+        (0.05, 0.4, 0.8, 0.97),
+        14,
+        ("alphas", "betas", "weights"),
+    ),
+    "gamma": (
+        lambda: GammaMixtureArray(*GAMMA_PARAMS, LAW_WEIGHTS),
+        None,
+        (0.1, 1.0, 3.3, 8.0),
+        14,
+        ("shapes", "rates", "weights"),
+    ),
+    "dirichlet": (
+        lambda: DirichletMixtureArray(DIRICHLET_ALPHAS, LAW_WEIGHTS),
+        None,
+        ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.05, 0.9, 0.05]),
+        18,
+        ("alphas", "weights"),
+    ),
+    "count-poisson": (
+        lambda: CountMixtureArray(COUNT_P0, None, LAW_WEIGHTS),
+        None,
+        (0, 1, 3, 9),
+        10,
+        ("p0", "weights"),
+    ),
+    "count-neg-binomial": (
+        lambda: CountMixtureArray(COUNT_P0, COUNT_RATES, LAW_WEIGHTS),
+        None,
+        (0, 1, 3, 9),
+        14,
+        ("p0", "rates", "weights"),
+    ),
+}
+
+
+def _assert_close(actual, expected):
+    np.testing.assert_allclose(
+        np.asarray(actual, dtype=float), np.asarray(expected, dtype=float), rtol=1e-10
+    )
+
+
+class TestArrayPosteriorLaws:
+    """Each array posterior is the scalar mixture (or empirical) of its
+    components: same moments and scores, with distinct components and
+    unequal weights, and the memory words it has always reported."""
+
+    @pytest.mark.parametrize("kind", sorted(LAW_CASES))
+    def test_matches_scalar_reference(self, kind):
+        build, reference, points, _, _ = LAW_CASES[kind]
+        dist = build()
+        ref = reference() if reference is not None else _mixture_of_components(build)
+        _assert_close(dist.mean(), ref.mean())
+        _assert_close(dist.variance(), ref.variance())
+        for x in points:
+            _assert_close(dist.log_pdf(x), ref.log_pdf(x))
+
+    def test_tiny_weight_scored_exactly(self):
+        """A weight below 1e-300 was scored as 1e-300 (a floor put
+        before the log), which overstated its component by 20 orders of
+        magnitude here."""
+        weights = [1.0, 1e-320]
+        dist = GaussianMixtureArray([0.0, 100.0], [1.0, 1.0], weights)
+        ref = Mixture([Gaussian(0.0, 1.0), Gaussian(100.0, 1.0)], weights)
+        _assert_close(dist.log_pdf(100.0), ref.log_pdf(100.0))
+        assert dist.log_pdf(0.0) == pytest.approx(ref.log_pdf(0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(LAW_CASES))
+    def test_memory_words(self, kind):
+        build, _, points, words, _ = LAW_CASES[kind]
+        dist = build()
+        assert dist.memory_words() == words
+        dist.log_pdf(points[0])
+        assert dist.memory_words() == words
+        assert len(dist) == len(LAW_WEIGHTS)
+
+
+class TestFrozenAfterPickle:
+    """An unpickled posterior keeps its arrays read-only: a writeable
+    copy could be changed in place, and a Beta or Gamma output would
+    then keep a stale cached normalizer."""
+
+    @pytest.mark.parametrize("queried", [False, True], ids=["fresh", "queried"])
+    @pytest.mark.parametrize("kind", sorted(LAW_CASES))
+    def test_arrays_stay_frozen(self, kind, queried):
+        build, _, points, words, names = LAW_CASES[kind]
+        dist = build()
+        if queried:
+            dist.log_pdf(points[0])
+        copy = pickle.loads(pickle.dumps(dist))
+        for name in names:
+            assert not getattr(copy, name).flags.writeable, name
+        assert copy.memory_words() == words
+        _assert_close(copy.mean(), dist.mean())
+        for x in points:
+            _assert_close(copy.log_pdf(x), dist.log_pdf(x))
