@@ -71,14 +71,19 @@ def normalize_weights(
       about that overflow: silencing it would cost every call an
       ``errstate`` block.
 
-    Only the scalar total is tested on the common path: with no
-    negative entry, the total is NaN exactly when an entry is.
+    A clean vector costs one ``min`` and one ``sum``: the minimum is
+    NaN exactly when an entry is, and with no negative entry so is the
+    total, so NaNs are looked for only then.
     """
-    if np.any(weights < 0):
+    if weights.min() < 0:
         raise DistributionError(f"{name} must be non-negative")
     total = weights.sum()
     if math.isnan(total):
         nan_mask = np.isnan(weights)
+        weights = np.where(nan_mask, 0.0, weights)
+        # A NaN minimum hid any negative entry from the check above.
+        if weights.min() < 0:
+            raise DistributionError(f"{name} must be non-negative")
         count = int(nan_mask.sum())
         count_event("repro_nan_mixture_weights_total", amount=count)
         warnings.warn(
@@ -87,7 +92,6 @@ def normalize_weights(
             RuntimeWarning,
             stacklevel=stacklevel,
         )
-        weights = np.where(nan_mask, 0.0, weights)
         total = weights.sum()
     if not total > 0:
         raise DistributionError(f"{name} must not all be zero")

@@ -65,7 +65,7 @@ class Dirichlet(Distribution):
         alpha = np.asarray(alpha, dtype=float)
         if alpha.ndim != 1 or alpha.size < 2:
             raise DistributionError("alpha must be a vector of length >= 2")
-        if np.any(alpha <= 0):
+        if not alpha.min() > 0:
             raise DistributionError("alpha entries must be > 0")
         self.alpha = alpha
         self.alpha.setflags(write=False)

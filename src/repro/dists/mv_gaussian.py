@@ -15,10 +15,17 @@ from repro.errors import DistributionError
 
 __all__ = [
     "MvGaussian",
+    "require_symmetric",
     "batched_matvec",
     "batched_rowdot",
     "batched_mv_log_pdf",
 ]
+
+
+def require_symmetric(cov: np.ndarray) -> None:
+    """Reject a covariance matrix that is not symmetric (to round-off)."""
+    if not np.allclose(cov, cov.T, atol=1e-8):
+        raise DistributionError("cov must be symmetric")
 
 
 def batched_matvec(a, x: np.ndarray) -> np.ndarray:
@@ -95,8 +102,7 @@ class MvGaussian(Distribution):
             raise DistributionError(
                 f"cov shape {cov.shape} does not match mean of dim {mu.size}"
             )
-        if not np.allclose(cov, cov.T, atol=1e-8):
-            raise DistributionError("cov must be symmetric")
+        require_symmetric(cov)
         self.mu = mu
         self.cov = cov
         self._dim = mu.size

@@ -16,14 +16,13 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.inference.resampling import ess, normalize_log_weights
-
-__all__ = ["StepStats", "DiagnosticsLog", "step_stats_from_log_weights"]
+__all__ = ["StepStats", "DiagnosticsLog", "step_log_evidence"]
 
 
 @dataclass(frozen=True)
@@ -43,34 +42,53 @@ class StepStats:
         return self.ess / self.n_particles
 
 
-def step_stats_from_log_weights(
+def _log_sum_exp(values: np.ndarray) -> float:
+    """``log sum_i exp(values_i)``, with ``NaN`` entries as ``-inf``."""
+    top = values.max()
+    if top != top:
+        values = np.where(np.isnan(values), -np.inf, values)
+        top = values.max()
+    if not math.isfinite(top):
+        return float(top)
+    shifted = values - top
+    np.exp(shifted, out=shifted)
+    return float(top) + math.log(shifted.sum())
+
+
+def step_log_evidence(
     prev_log_weights: Sequence[float],
     step_log_weights: Sequence[float],
     weights: np.ndarray,
-) -> StepStats:
-    """:class:`StepStats` of one step, as every engine records it.
+) -> float:
+    """The incremental log-evidence of one step.
 
-    The incremental evidence is the previous-weight-weighted mean of
-    the step likelihoods, ``log sum_i prev_w_i * exp(step_logw_i)``;
-    with uniform previous weights (after a resample) this is the
-    classic ``log mean w``. ``weights`` are the step's normalized
-    weights, whose ESS is reported. Like
-    :func:`~repro.inference.resampling.normalize_log_weights`, a
-    ``NaN`` step log-weight counts as ``-inf`` (that particle adds
-    nothing) and a ``+inf`` one makes the evidence ``+inf``.
+    It is the previous-weight-weighted mean of the step likelihoods,
+    ``log sum_i prev_w_i * exp(step_logw_i)``, or ``lse(prev + step) -
+    lse(prev)``: the classic ``log mean w`` after a resample. ``weights``
+    must be ``normalize_log_weights(prev + step)``, which holds the first
+    term already: its largest entry is ``1 / sum_i exp(prev_i + step_i -
+    top)``. The previous weights are never normalized or logged.
+
+    As in :func:`~repro.inference.resampling.normalize_log_weights`, a
+    ``NaN`` log-weight counts as ``-inf``, a ``+inf`` step log-weight
+    makes the evidence ``+inf``, and previous log-weights with no finite
+    maximum are uniform (all ``-inf``) or spread over their ``+inf``
+    entries. A previous weight below the float range (``prev_i`` ~745
+    under the largest) still counts, where normalizing it first rounded
+    it to zero.
     """
-    prev_w = normalize_log_weights(prev_log_weights)
-    with np.errstate(divide="ignore"):
-        combined = np.log(prev_w) + np.asarray(step_log_weights, dtype=float)
-    top = combined.max()
-    if np.isnan(top):
-        combined = np.where(np.isnan(combined), -np.inf, combined)
-        top = combined.max()
-    if np.isinf(top):
-        evidence = float(top)
-    else:
-        evidence = float(top + np.log(np.sum(np.exp(combined - top))))
-    return StepStats(evidence, ess(weights), int(weights.size))
+    prev = np.asarray(prev_log_weights, dtype=float)
+    step = np.asarray(step_log_weights, dtype=float)
+    prev_total = _log_sum_exp(prev)
+    if math.isfinite(prev_total):
+        i = int(weights.argmax())
+        head = float(prev[i] + step[i])
+        if head != head:  # every particle scored -inf or NaN
+            return -math.inf
+        return head - math.log(weights[i]) - prev_total
+    if prev_total == math.inf:
+        step = step[prev == math.inf]
+    return _log_sum_exp(step) - math.log(step.size)
 
 
 class DiagnosticsLog:

@@ -60,7 +60,7 @@ from repro.exec.population import (
     split_sequence,
 )
 from repro.inference.contexts import DelayedCtx, SamplingCtx
-from repro.inference.diagnostics import DiagnosticsLog, step_stats_from_log_weights
+from repro.inference.diagnostics import DiagnosticsLog, StepStats, step_log_evidence
 from repro.inference.particles import (
     Particle,
     clone_particle,
@@ -227,7 +227,7 @@ class InferenceEngine(Node):
         self._record_stats(prev_logw, step_logw, weights)
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             stepped = self._resample(stepped, weights)
             timer.mark("resample")
         else:
@@ -364,7 +364,7 @@ class InferenceEngine(Node):
         self._record_stats(prev_logw, step_logw, weights)
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             # Barrier: ancestor indices from the engine-level generator
             # in the coordinator — identical under every executor.
             indices = np.asarray(self.resampler(weights, self.n_particles, self.rng))
@@ -436,9 +436,16 @@ class InferenceEngine(Node):
         return payload
 
     def _record_stats(self, prev_log_weights, step_log_weights, weights) -> None:
-        """Update :attr:`last_stats` (and the log) with this step's diagnostics."""
-        self.last_stats = step_stats_from_log_weights(
-            prev_log_weights, step_log_weights, weights
+        """Update :attr:`last_stats` (and the log) with this step's diagnostics.
+
+        ``weights`` are ``normalize_log_weights(prev + step)``. The step's
+        one ESS is taken here, through this module's ``ess``, and the
+        resample decision reads it back from :attr:`last_stats`.
+        """
+        self.last_stats = StepStats(
+            step_log_evidence(prev_log_weights, step_log_weights, weights),
+            ess(weights),
+            int(weights.size),
         )
         if self.diagnostics is not None:
             self.diagnostics.record(self.last_stats)
@@ -456,10 +463,10 @@ class InferenceEngine(Node):
         return Empirical(outs, weights)
 
     # ------------------------------------------------------------------
-    def _should_resample(self, weights) -> bool:
+    def _should_resample(self) -> bool:
         if self.resample_threshold is None:
             return True
-        return ess(weights) < self.resample_threshold * self.n_particles
+        return self.last_stats.ess < self.resample_threshold * self.n_particles
 
     def _resample(self, particles: List[Particle], weights) -> List[Particle]:
         """Resample: selected particles are duplicated by cloning state.

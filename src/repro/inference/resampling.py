@@ -8,6 +8,7 @@ normalization is shared by every engine.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Sequence
 
@@ -40,33 +41,42 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     ``-inf``: every particle scored zero likelihood) fall back to
     uniform weights rather than dying, which is what a streaming filter
     must do to keep running.
+
+    A clean vector costs one ``max``, one subtraction (the only
+    temporary, exponentiated and divided in place) and one ``sum``: the
+    maximum is NaN exactly when an entry is, so NaNs are looked for only
+    then.
     """
     logw = np.asarray(log_weights, dtype=float)
     if logw.size == 0:
         raise InferenceError("cannot normalize an empty weight vector")
-    nan_mask = np.isnan(logw)
-    if nan_mask.any():
+    top = logw.max()
+    if top != top:
+        nan_mask = np.isnan(logw)
+        count = int(nan_mask.sum())
         # The warning tells an interactive user once; the counter tells
         # a long-running deployment how often.
-        count_event("repro_nan_log_weights_total", amount=int(nan_mask.sum()))
+        count_event("repro_nan_log_weights_total", amount=count)
         warnings.warn(
-            f"{int(nan_mask.sum())} NaN log-weight(s) treated as -inf "
+            f"{count} NaN log-weight(s) treated as -inf "
             "(zero weight); check the model/kernel that produced them",
             RuntimeWarning,
             stacklevel=2,
         )
         logw = np.where(nan_mask, -np.inf, logw)
-    top = logw.max()
-    if top == -np.inf:
+        top = logw.max()
+    if top == -math.inf:
         return np.full(logw.size, 1.0 / logw.size)
-    if top == np.inf:
+    if top == math.inf:
         w = (logw == top).astype(float)
         return w / w.sum()
-    w = np.exp(logw - top)
+    w = logw - top
+    np.exp(w, out=w)
     total = w.sum()
     if not total > 0:
         return np.full(logw.size, 1.0 / logw.size)
-    return w / total
+    w /= total
+    return w
 
 
 def committed_log_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -92,15 +102,16 @@ def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
     last particle. Normalizing here makes all four schemes agree. An
     already-normalized vector (within round-off of the log-weight
     pipeline) passes through untouched so existing seeded streams are
-    preserved bit-for-bit.
+    preserved bit-for-bit. One ``min`` checks the signs (a NaN entry
+    fails the sum check instead) and one ``sum`` the total.
     """
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise InferenceError("cannot resample from an empty weight vector")
-    if np.any(w < 0):
+    if w.min() < 0:
         raise InferenceError("resampling weights must be non-negative")
     total = float(w.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    if not (total > 0.0 and math.isfinite(total)):
         raise InferenceError(
             "resampling weights must have a positive finite sum, "
             f"got {total!r}"
@@ -113,7 +124,7 @@ def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
 def ess(weights: Sequence[float]) -> float:
     """Effective sample size ``1 / sum(w_i^2)`` of normalized weights."""
     w = np.asarray(weights, dtype=float)
-    denom = float(np.sum(w * w))
+    denom = float((w * w).sum())
     if denom <= 0.0:
         return 0.0
     return 1.0 / denom

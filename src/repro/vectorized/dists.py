@@ -14,7 +14,9 @@ and applies the rules the outputs share:
 
 * A constructor stores *copies* of its parameter arrays, not views: the
   engines pass arrays that alias their live batch state, which must stay
-  writeable.
+  writeable. It rejects what ``component(i)`` would reject: a parameter
+  that is not ``> 0`` (one ``min`` per array, so NaN fails too) and an
+  asymmetric covariance.
 * Weights go through :func:`repro.dists.base.normalize_weights`, the one
   weight rule of every posterior (a NaN weight becomes zero, loudly);
   ``None`` means uniform weights.
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.dists import Beta, Dirichlet, Gamma, Gaussian, MvGaussian, Poisson
 from repro.dists.base import Distribution, normalize_weights
-from repro.dists.mv_gaussian import batched_mv_log_pdf
+from repro.dists.mv_gaussian import batched_mv_log_pdf, require_symmetric
 from repro.errors import DistributionError
 from repro.vectorized.kernels import (
     _lgamma,
@@ -200,7 +202,7 @@ class GaussianMixtureArray(_ArrayPosterior):
         variances = np.array(variances, dtype=float).reshape(-1)
         if mus.size == 0 or variances.size != mus.size:
             raise DistributionError("need matching non-empty mean/variance vectors")
-        if np.any(variances <= 0):
+        if not variances.min() > 0:
             raise DistributionError("component variances must be > 0")
         self.mus = mus
         self.vars = variances
@@ -251,6 +253,7 @@ class MvGaussianMixtureArray(_ArrayPosterior):
             raise DistributionError(
                 f"cov shape {cov.shape} does not match mean dim {means.shape[1]}"
             )
+        require_symmetric(cov)
         self.means = means
         self.cov = cov
         self._seal(weights, means.shape[0])
@@ -292,7 +295,7 @@ class BetaMixtureArray(_ArrayPosterior):
         betas = np.array(betas, dtype=float).reshape(-1)
         if alphas.size == 0 or betas.size != alphas.size:
             raise DistributionError("need matching non-empty alpha/beta vectors")
-        if np.any(alphas <= 0) or np.any(betas <= 0):
+        if not (alphas.min() > 0 and betas.min() > 0):
             raise DistributionError("component parameters must be > 0")
         self.alphas = alphas
         self.betas = betas
@@ -344,7 +347,7 @@ class GammaMixtureArray(_ArrayPosterior):
         rates = np.array(rates, dtype=float).reshape(-1)
         if shapes.size == 0 or rates.size != shapes.size:
             raise DistributionError("need matching non-empty shape/rate vectors")
-        if np.any(shapes <= 0) or np.any(rates <= 0):
+        if not (shapes.min() > 0 and rates.min() > 0):
             raise DistributionError("component parameters must be > 0")
         self.shapes = shapes
         self.rates = rates
@@ -389,7 +392,7 @@ class DirichletMixtureArray(_ArrayPosterior):
         alphas = np.array(alphas, dtype=float)
         if alphas.ndim != 2 or alphas.shape[0] == 0 or alphas.shape[1] < 2:
             raise DistributionError("need a non-empty (n, k>=2) alpha matrix")
-        if np.any(alphas <= 0):
+        if not alphas.min() > 0:
             raise DistributionError("concentration parameters must be > 0")
         self.alphas = alphas
         self._seal(weights, alphas.shape[0])
@@ -435,13 +438,13 @@ class CountMixtureArray(_ArrayPosterior):
         p0 = np.array(p0, dtype=float).reshape(-1)
         if p0.size == 0:
             raise DistributionError("need a non-empty parameter vector")
-        if np.any(p0 <= 0):
+        if not p0.min() > 0:
             raise DistributionError("component parameters must be > 0")
         if rates is not None:
             rates = np.array(rates, dtype=float).reshape(-1)
             if rates.size != p0.size:
                 raise DistributionError("need matching shape/rate vectors")
-            if np.any(rates <= 0):
+            if not rates.min() > 0:
                 raise DistributionError("component rates must be > 0")
         self.p0 = p0
         self.rates = rates

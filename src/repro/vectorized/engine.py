@@ -120,6 +120,15 @@ def _merge(pieces: List[Any]) -> Any:
     return concat_states(pieces)
 
 
+def _per_particle(value: Any, shape: Tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``: an array of that shape (an
+    observing step's log-weights, a Gaussian output's variances) as it is,
+    a shared scalar as a read-only broadcast view."""
+    if isinstance(value, np.ndarray) and value.shape == shape:
+        return value
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 class VectorizedEngine(InferenceEngine):
     """Base class for engines whose state is a :class:`ParticleBatch`.
 
@@ -171,7 +180,7 @@ class VectorizedEngine(InferenceEngine):
         timer.mark("weight_merge")
 
         sizes = [r.payload.n for r in results]
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             # Barrier: global ancestor indices from the engine-level
             # generator, then re-scatter contiguous slices of the
             # survivors into the fixed shard partition.
@@ -499,16 +508,12 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
             outs = lift_output(graph, out, n)
             new_state = ChainState(graph, new_model_state, n)
             graph.sweep(new_state.slot_roots())
-        step_logw = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(ctx.log_weight, dtype=float), (n,))
-        )
+        step_logw = np.ascontiguousarray(_per_particle(ctx.log_weight, (n,)))
         return outs, new_state, step_logw
 
     def _output_distribution(self, outs: ChainOuts, weights) -> Distribution:
         if outs.kind == "gaussian":
-            variances = np.broadcast_to(
-                np.asarray(outs.var, dtype=float), outs.mean.shape
-            )
+            variances = _per_particle(outs.var, outs.mean.shape)
             return GaussianMixtureArray(outs.mean, variances, weights)
         if outs.kind == "mv_gaussian":
             return MvGaussianMixtureArray(outs.mean, outs.var, weights)

@@ -15,12 +15,8 @@ import pytest
 from repro.bench.data import coin_data, kalman_data
 from repro.bench.models import CoinModel, KalmanModel
 from repro.dists import Gaussian
-from repro.inference import ImportanceSampler, infer
-from repro.inference.diagnostics import (
-    DiagnosticsLog,
-    StepStats,
-    step_stats_from_log_weights,
-)
+from repro.inference import ImportanceSampler, ParticleFilter, infer
+from repro.inference.diagnostics import DiagnosticsLog, StepStats
 from repro.inference.resampling import normalize_log_weights
 from repro.runtime.node import ProbNode
 
@@ -28,9 +24,9 @@ from repro.runtime.node import ProbNode
 def stats_after_resample(step_log_weights):
     """StepStats of a step that starts from uniform weights."""
     logw = np.asarray(step_log_weights, dtype=float)
-    return step_stats_from_log_weights(
-        np.zeros(logw.size), logw, normalize_log_weights(logw)
-    )
+    engine = ParticleFilter(KalmanModel(), n_particles=logw.size)
+    engine._record_stats(np.zeros(logw.size), logw, normalize_log_weights(logw))
+    return engine.last_stats
 
 
 class ScoresOnce(ProbNode):

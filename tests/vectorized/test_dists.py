@@ -6,7 +6,16 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.dists import Beta, Empirical, Gamma, Gaussian, Mixture
+from repro.dists import (
+    Beta,
+    Dirichlet,
+    Empirical,
+    Gamma,
+    Gaussian,
+    Mixture,
+    MvGaussian,
+    Poisson,
+)
 from repro.errors import DistributionError
 from repro.vectorized import (
     ArrayEmpirical,
@@ -438,3 +447,59 @@ class TestFrozenAfterPickle:
         _assert_close(copy.mean(), dist.mean())
         for x in points:
             _assert_close(copy.log_pdf(x), dist.log_pdf(x))
+
+
+#: parameters that the scalar distributions reject: (build the array
+#: posterior, build the scalar distribution of the offending row)
+REJECTED_PARAMETERS = {
+    "gaussian-nan-var": (
+        lambda: GaussianMixtureArray([0.0, 1.0], [1.0, math.nan]),
+        lambda: Gaussian(1.0, math.nan),
+    ),
+    "beta-nan-alpha": (
+        lambda: BetaMixtureArray([1.0, math.nan], [1.0, 1.0]),
+        lambda: Beta(math.nan, 1.0),
+    ),
+    "beta-nan-beta": (
+        lambda: BetaMixtureArray([1.0, 1.0], [1.0, math.nan]),
+        lambda: Beta(1.0, math.nan),
+    ),
+    "gamma-nan-shape": (
+        lambda: GammaMixtureArray([1.0, math.nan], [1.0, 1.0]),
+        lambda: Gamma(math.nan, 1.0),
+    ),
+    "gamma-nan-rate": (
+        lambda: GammaMixtureArray([1.0, 1.0], [1.0, math.nan]),
+        lambda: Gamma(1.0, math.nan),
+    ),
+    "count-nan-p0": (
+        lambda: CountMixtureArray([1.0, math.nan]),
+        lambda: Poisson(math.nan),
+    ),
+    "count-nan-rate": (
+        lambda: CountMixtureArray([1.0, 1.0], [1.0, math.nan]),
+        # The negative binomial's parameters are a Gamma's shape and rate.
+        lambda: Gamma(1.0, math.nan),
+    ),
+    "dirichlet-nan-alpha": (
+        lambda: DirichletMixtureArray([[1.0, 1.0], [1.0, math.nan]]),
+        lambda: Dirichlet([1.0, math.nan]),
+    ),
+    "mv_gaussian-asymmetric-cov": (
+        lambda: MvGaussianMixtureArray([[0.0, 0.0]], [[1.0, 0.5], [0.0, 1.0]]),
+        lambda: MvGaussian([0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_PARAMETERS))
+def test_rejects_what_its_components_reject(case):
+    """A NaN parameter passed the old ``np.any(x <= 0)`` checks, and an
+    asymmetric covariance was never checked, so these posteriors built
+    although the scalar distribution of the same row (what
+    ``component(i)`` returns) raised."""
+    build, component = REJECTED_PARAMETERS[case]
+    with pytest.raises(DistributionError):
+        component()
+    with pytest.raises(DistributionError):
+        build()
