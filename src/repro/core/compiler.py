@@ -70,13 +70,6 @@ from repro.errors import CompilationError
 
 __all__ = ["Compiler", "compile_program", "prepare_program"]
 
-_name_counter = itertools.count()
-
-
-def _fresh(prefix: str) -> str:
-    return f"_{prefix}{next(_name_counter)}"
-
-
 def _let_pair(value_name: str, state_name: str, bound: MTerm, body: MTerm) -> MTerm:
     """``let (v, s) = bound in body``."""
     return MLet(PTuple((PVar(value_name), PVar(state_name))), bound, body)
@@ -116,6 +109,12 @@ class Compiler:
         # One infer site id per Infer AST occurrence, shared by C and A.
         self._infer_sites: Dict[int, int] = {}
         self._site_counter = itertools.count(10_000)
+        # Temporaries are numbered per compilation, so one program
+        # always compiles to the same muF term.
+        self._names = itertools.count()
+
+    def _fresh(self, prefix: str) -> str:
+        return f"_{prefix}{next(self._names)}"
 
     # ------------------------------------------------------------------
     def compile(self) -> MuFProgram:
@@ -127,7 +126,7 @@ class Compiler:
 
     def _compile_decl(self, decl: NodeDecl) -> MTerm:
         # f_step = fun (s, x) -> C(e)(s)
-        state_name = _fresh("s")
+        state_name = self._fresh("s")
         param_pat = _param_pattern(decl.param)
         body = MApp(self.compile_expr(decl.body), MVar(state_name))
         return MFun(PTuple((PVar(state_name), param_pat)), body)
@@ -148,13 +147,13 @@ class Compiler:
                 "run prepare_program first"
             )
         if isinstance(expr, Const):
-            s = _fresh("s")
+            s = self._fresh("s")
             return MFun(PVar(s), MTuple((MConst(expr.value), MVar(s))))
         if isinstance(expr, Var):
-            s = _fresh("s")
+            s = self._fresh("s")
             return MFun(PVar(s), MTuple((MVar(expr.name), MVar(s))))
         if isinstance(expr, Last):
-            s = _fresh("s")
+            s = self._fresh("s")
             return MFun(PVar(s), MTuple((MVar(f"{expr.name}_last"), MVar(s))))
         if isinstance(expr, Pair):
             return self._compile_nary(
@@ -174,7 +173,8 @@ class Compiler:
         if isinstance(expr, Reset):
             return self._compile_reset(expr)
         if isinstance(expr, Sample):
-            s, mu, s2, v = _fresh("s"), _fresh("mu"), _fresh("s"), _fresh("v")
+            s, mu = self._fresh("s"), self._fresh("mu")
+            s2, v = self._fresh("s"), self._fresh("v")
             return MFun(
                 PVar(s),
                 _let_pair(
@@ -189,9 +189,9 @@ class Compiler:
                 ),
             )
         if isinstance(expr, Observe):
-            s1, s2 = _fresh("s"), _fresh("s")
-            v1, s1p = _fresh("v"), _fresh("s")
-            v2, s2p = _fresh("v"), _fresh("s")
+            s1, s2 = self._fresh("s"), self._fresh("s")
+            v1, s1p = self._fresh("v"), self._fresh("s")
+            v2, s2p = self._fresh("v"), self._fresh("s")
             return MFun(
                 PTuple((PVar(s1), PVar(s2))),
                 _let_pair(
@@ -203,7 +203,7 @@ class Compiler:
                         s2p,
                         MApp(self.compile_expr(expr.value), MVar(s2)),
                         MLet(
-                            PVar(_fresh("u")),
+                            PVar(self._fresh("u")),
                             MObserve(MVar(v1), MVar(v2)),
                             MTuple((MConst(()), MTuple((MVar(s1p), MVar(s2p))))),
                         ),
@@ -211,7 +211,7 @@ class Compiler:
                 ),
             )
         if isinstance(expr, Factor):
-            s, v, sp = _fresh("s"), _fresh("v"), _fresh("s")
+            s, v, sp = self._fresh("s"), self._fresh("v"), self._fresh("s")
             return MFun(
                 PVar(s),
                 _let_pair(
@@ -219,14 +219,14 @@ class Compiler:
                     sp,
                     MApp(self.compile_expr(expr.score), MVar(s)),
                     MLet(
-                        PVar(_fresh("u")),
+                        PVar(self._fresh("u")),
                         MFactor(MVar(v)),
                         MTuple((MConst(()), MVar(sp))),
                     ),
                 ),
             )
         if isinstance(expr, Infer):
-            sigma = _fresh("sigma")
+            sigma = self._fresh("sigma")
             site = self._infer_site(expr)
             return MFun(
                 PVar(sigma),
@@ -243,9 +243,9 @@ class Compiler:
 
     def _compile_nary(self, args: Tuple[Expr, ...], make_value) -> MTerm:
         """Shared shape for pairs and operator applications."""
-        state_names = [_fresh("s") for _ in args]
-        value_names = [_fresh("v") for _ in args]
-        next_names = [_fresh("s") for _ in args]
+        state_names = [self._fresh("s") for _ in args]
+        value_names = [self._fresh("v") for _ in args]
+        next_names = [self._fresh("s") for _ in args]
         result: MTerm = MTuple(
             (
                 make_value([MVar(v) for v in value_names]),
@@ -257,9 +257,9 @@ class Compiler:
         return MFun(PTuple(tuple(PVar(s) for s in state_names)), result)
 
     def _compile_app(self, expr: App) -> MTerm:
-        s1, s2 = _fresh("s"), _fresh("s")
-        v1, s1p = _fresh("v"), _fresh("s")
-        v2, s2p = _fresh("v"), _fresh("s")
+        s1, s2 = self._fresh("s"), self._fresh("s")
+        v1, s1p = self._fresh("v"), self._fresh("s")
+        v2, s2p = self._fresh("v"), self._fresh("s")
         return MFun(
             PTuple((PVar(s1), PVar(s2))),
             _let_pair(
@@ -278,11 +278,11 @@ class Compiler:
     def _compile_where(self, expr: Where) -> MTerm:
         inits = [eq for eq in expr.equations if isinstance(eq, InitEq)]
         defs = [eq for eq in expr.equations if isinstance(eq, Eq)]
-        mem_names = [_fresh("m") for _ in inits]
-        eq_state_names = [_fresh("s") for _ in defs]
-        body_state = _fresh("s")
-        body_value, body_next = _fresh("v"), _fresh("s")
-        eq_next_names = [_fresh("s") for _ in defs]
+        mem_names = [self._fresh("m") for _ in inits]
+        eq_state_names = [self._fresh("s") for _ in defs]
+        body_state = self._fresh("s")
+        body_value, body_next = self._fresh("v"), self._fresh("s")
+        eq_next_names = [self._fresh("s") for _ in defs]
 
         # innermost: the result tuple
         result: MTerm = MTuple(
@@ -306,7 +306,7 @@ class Compiler:
         )
         # equations, innermost-last
         for eq, s_name, n_name in reversed(list(zip(defs, eq_state_names, eq_next_names))):
-            v_name = _fresh("v")
+            v_name = self._fresh("v")
             result = _let_pair(
                 v_name,
                 n_name,
@@ -326,10 +326,10 @@ class Compiler:
         return MFun(pattern, result)
 
     def _compile_present(self, expr: Present) -> MTerm:
-        s, s1, s2 = _fresh("s"), _fresh("s"), _fresh("s")
-        v, sp = _fresh("v"), _fresh("s")
-        v1, s1p = _fresh("v"), _fresh("s")
-        v2, s2p = _fresh("v"), _fresh("s")
+        s, s1, s2 = self._fresh("s"), self._fresh("s"), self._fresh("s")
+        v, sp = self._fresh("v"), self._fresh("s")
+        v1, s1p = self._fresh("v"), self._fresh("s")
+        v2, s2p = self._fresh("v"), self._fresh("s")
         then_branch = _let_pair(
             v1,
             s1p,
@@ -353,9 +353,9 @@ class Compiler:
         )
 
     def _compile_reset(self, expr: Reset) -> MTerm:
-        s0, s1, s2 = _fresh("s"), _fresh("s"), _fresh("s")
-        v2, s2p = _fresh("v"), _fresh("s")
-        v1, s1p = _fresh("v"), _fresh("s")
+        s0, s1, s2 = self._fresh("s"), self._fresh("s"), self._fresh("s")
+        v2, s2p = self._fresh("v"), self._fresh("s")
+        v1, s1p = self._fresh("v"), self._fresh("s")
         return MFun(
             PTuple((PVar(s0), PVar(s1), PVar(s2))),
             _let_pair(

@@ -25,7 +25,7 @@ one so the auxiliary equations have a home.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.ast import (
     App,
@@ -54,13 +54,6 @@ from repro.core.ast import (
 )
 
 __all__ = ["desugar_expr", "desugar_node", "desugar_program", "has_surface_sugar"]
-
-_fresh_counter = itertools.count()
-
-
-def _fresh(prefix: str) -> str:
-    return f"_{prefix}{next(_fresh_counter)}"
-
 
 def has_surface_sugar(expr: Expr) -> bool:
     """True if ``expr`` still contains ``->``, ``pre``, or ``fby``."""
@@ -105,13 +98,17 @@ class _BlockRewriter:
     the arrows of the block.
     """
 
-    def __init__(self):
+    def __init__(self, names: Iterator[int]):
+        self.names = names
         self.extra: List[Equation] = []
         self._fst_name = None
 
+    def _fresh(self, prefix: str) -> str:
+        return f"_{prefix}{next(self.names)}"
+
     def _fst(self) -> str:
         if self._fst_name is None:
-            self._fst_name = _fresh("fst")
+            self._fst_name = self._fresh("fst")
             self.extra.append(InitEq(self._fst_name, Const(True)))
             self.extra.append(Eq(self._fst_name, Const(False)))
         return self._fst_name
@@ -120,7 +117,7 @@ class _BlockRewriter:
         if isinstance(expr, Fby):
             return self.rewrite(Arrow(expr.first, PreE(expr.then)))
         if isinstance(expr, PreE):
-            name = _fresh("pre")
+            name = self._fresh("pre")
             inner = self.rewrite(expr.expr)
             self.extra.append(InitEq(name, Const(0.0)))
             self.extra.append(Eq(name, inner))
@@ -151,21 +148,17 @@ class _BlockRewriter:
             return Factor(self.rewrite(expr.score))
         if isinstance(expr, Infer):
             return Infer(
-                desugar_expr(expr.body), expr.particles, expr.method, expr.seed
+                _desugar(expr.body, self.names), expr.particles, expr.method,
+                expr.seed,
             )
         if isinstance(expr, Where):
-            return desugar_expr(expr)  # nested block: its own rewriter
+            return _desugar(expr, self.names)  # nested block: its own rewriter
         return expr
 
 
-def desugar_expr(expr: Expr) -> Expr:
-    """Eliminate all surface sugar from ``expr``.
-
-    Sugar appearing outside any ``where`` causes the expression to be
-    wrapped in one, giving the auxiliary equations a block to live in.
-    """
+def _desugar(expr: Expr, names: Iterator[int]) -> Expr:
     if isinstance(expr, Where):
-        rewriter = _BlockRewriter()
+        rewriter = _BlockRewriter(names)
         body = rewriter.rewrite(expr.body)
         equations: Tuple[Equation, ...] = tuple(
             eq if isinstance(eq, InitEq) else Eq(eq.name, rewriter.rewrite(eq.expr))
@@ -173,11 +166,22 @@ def desugar_expr(expr: Expr) -> Expr:
         )
         return Where(body, equations + tuple(rewriter.extra))
     if has_surface_sugar(expr):
-        return desugar_expr(Where(expr, ()))
-    rewriter = _BlockRewriter()
+        return _desugar(Where(expr, ()), names)
+    rewriter = _BlockRewriter(names)
     result = rewriter.rewrite(expr)
     assert not rewriter.extra, "sugar-free rewrite must not add equations"
     return result
+
+
+def desugar_expr(expr: Expr) -> Expr:
+    """Eliminate all surface sugar from ``expr``.
+
+    Sugar appearing outside any ``where`` causes the expression to be
+    wrapped in one, giving the auxiliary equations a block to live in.
+    Temporaries are numbered per call, so the result depends on
+    ``expr`` alone.
+    """
+    return _desugar(expr, itertools.count())
 
 
 def desugar_node(decl: NodeDecl) -> NodeDecl:
@@ -186,5 +190,11 @@ def desugar_node(decl: NodeDecl) -> NodeDecl:
 
 
 def desugar_program(program: Program) -> Program:
-    """Desugar every node of a program."""
-    return Program(tuple(desugar_node(d) for d in program.decls))
+    """Desugar every node of a program, numbering temporaries per program."""
+    names = itertools.count()
+    return Program(
+        tuple(
+            NodeDecl(d.name, d.param, _desugar(d.body, names))
+            for d in program.decls
+        )
+    )

@@ -41,6 +41,7 @@ from repro.dists import (
     MvGaussian,
     Poisson,
 )
+from repro.dists.base import require_positive
 from repro.errors import GraphError
 
 __all__ = [
@@ -341,8 +342,8 @@ class _NegativeBinomialMarginal(Distribution):
     __slots__ = ("shape", "rate")
 
     def __init__(self, shape: float, rate: float):
-        self.shape = float(shape)
-        self.rate = float(rate)
+        self.shape = require_positive("shape", shape)
+        self.rate = require_positive("rate", rate)
 
     def sample(self, rng: np.random.Generator) -> int:
         lam = rng.gamma(self.shape, 1.0 / self.rate)

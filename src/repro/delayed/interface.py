@@ -36,15 +36,8 @@ from repro.delayed.graph import BaseGraph
 from repro.delayed.node import DSNode
 from repro.dists import Delta, Distribution, Gaussian, MvGaussian, TupleDist
 from repro.errors import GraphError
-from repro.lang.lifted import (
-    SymDist,
-    bernoulli,
-    binomial,
-    categorical,
-    gaussian,
-    mv_gaussian,
-    poisson,
-)
+from repro.lang import lifted
+from repro.lang.lifted import SymDist
 from repro.symbolic import RVar, extract_affine, eval_expr, is_symbolic
 
 __all__ = ["assume", "observe_dist", "value_expr", "lift_distribution"]
@@ -189,19 +182,7 @@ def _identity_parent(expr: Any, family: str):
 def _force_concrete(graph: BaseGraph, dist: SymDist) -> Distribution:
     """Realize the variables in a symbolic distribution's parameters."""
     params = tuple(value_expr(graph, p) for p in dist.params)
-    constructors = {
-        "gaussian": gaussian,
-        "mv_gaussian": mv_gaussian,
-        "bernoulli": bernoulli,
-        "binomial": binomial,
-        "poisson": poisson,
-        "categorical": categorical,
-    }
-    from repro.lang import lifted
-
     constructor = getattr(lifted, dist.kind, None)
-    if constructor is None:
-        constructor = constructors.get(dist.kind)
     if constructor is None:
         raise GraphError(f"unknown symbolic distribution kind {dist.kind!r}")
     result = constructor(*params)

@@ -176,6 +176,13 @@ class ThreadShardExecutor(Executor):
 #: to a Python exception inside the worker, which comes back as an
 #: ``("err", traceback)`` reply).
 _PIPE_ERRORS = (BrokenPipeError, EOFError, ConnectionResetError, OSError)
+#: every slot failure supervision revives from (see ``_slot_failed``).
+_SLOT_FAILURES = (WorkerTimeout, RingFault) + _PIPE_ERRORS
+
+
+def _shard_message(key: int, index: int, command: tuple) -> tuple:
+    """The worker message of one shard command: ``(op, key, index, *args)``."""
+    return (command[0], key, index) + command[1:]
 
 
 def _persistent_worker_main(
@@ -188,9 +195,9 @@ def _persistent_worker_main(
     """Main loop of one persistent worker: resident shards + commands.
 
     ``homes`` maps ``(population key, shard index)`` to the resident
-    shard, the stepper that advances it, and the accumulated log-weight
-    vector of the most recent step (so the weight commit after a
-    non-resampling barrier needs no data from the coordinator at all).
+    shard's home (see :func:`apply_shard_command`). A shard command
+    arrives as ``(op, key, index, *args)`` and runs through
+    :func:`apply_shard_command` — live and replayed commands alike.
 
     When the coordinator allocated shared-memory rings for this worker,
     payloads are routed through them in both directions: reply arrays
@@ -226,6 +233,50 @@ def _persistent_worker_main(
             cmd_ring.close()
 
 
+def apply_shard_command(home: Dict[str, Any], command: tuple) -> Any:
+    """Apply one command to a resident shard; return the worker's reply.
+
+    ``home`` holds the ``shard`` (payload plus RNG substream), the
+    ``stepper`` that advances it and ``logw``, the accumulated
+    log-weights of the latest step, so the weight commit after a
+    non-resampling barrier needs no data from the coordinator. The
+    commands are ``("step", inp, trace)``, ``("assemble", plan,
+    imports)`` and ``("weights",)`` — the three that mutate the shard
+    and that the coordinator's oplog stores — plus the read-only
+    ``("export", local_indices)`` and ``("pull",)``.
+
+    This is the one place a shard command takes effect: the worker runs
+    live and replayed commands through it, and
+    :meth:`PersistentProcessExecutor.recover_population` runs the oplog
+    through it without any worker, so a recovered shard is the
+    worker's shard by construction.
+    """
+    op, stepper, shard = command[0], home["stepper"], home["shard"]
+    if op == "step":
+        _, inp, trace = command
+        started = perf_counter() if trace else 0.0
+        result = stepper.step_shard(shard.payload, shard.rng, inp)
+        shard.payload, shard.rng = result.payload, result.rng
+        home["logw"] = result.prev_log_weights + result.step_log_weights
+        spans = [("worker_step", (perf_counter() - started) * 1e3)] if trace else None
+        return (result.outs, result.step_log_weights, result.prev_log_weights, spans)
+    if op == "assemble":
+        _, plan, imports = command
+        shard.payload = stepper.shard_assemble(shard.payload, plan, imports)
+        home["logw"] = None
+        return None
+    if op == "weights":
+        if home["logw"] is None:
+            raise InferenceError("weight commit without a preceding step")
+        shard.payload = stepper.shard_commit_weights(shard.payload, home["logw"])
+        return None
+    if op == "export":
+        return stepper.shard_export(shard.payload, command[1])
+    if op == "pull":
+        return shard
+    raise InferenceError(f"unknown shard command {op!r}")
+
+
 def _persistent_worker_loop(conn, homes, ring, cmd_ring, fault_state=None) -> None:
     while True:
         try:
@@ -247,62 +298,6 @@ def _persistent_worker_loop(conn, homes, ring, cmd_ring, fault_state=None) -> No
                     "shard": shard, "stepper": stepper, "logw": None,
                 }
                 reply: Any = None
-            elif op == "step":
-                if fault_state is not None:
-                    # Crash / hang / error / ring-exhaust faults fire on
-                    # this process's Nth step op (replayed steps count,
-                    # which is what lets gen>=1 faults target revival).
-                    fault_state.on_step(ring)
-                # Older senders (and oplog replay) use the 4-tuple form
-                # without the trace flag; replayed steps never trace.
-                _, key, index, inp, *rest = msg
-                trace = bool(rest[0]) if rest else False
-                home = homes[(key, index)]
-                shard = home["shard"]
-                started = perf_counter() if trace else 0.0
-                result = home["stepper"].step_shard(shard.payload, shard.rng, inp)
-                shard.payload = result.payload
-                shard.rng = result.rng
-                home["logw"] = result.prev_log_weights + result.step_log_weights
-                reply = (
-                    result.outs,
-                    result.step_log_weights,
-                    result.prev_log_weights,
-                )
-                if trace:
-                    # Spans ride back as a plain list appended to the
-                    # summary tuple; ShardSummary's ``spans`` field has
-                    # a default, so 3-tuple replies stay valid.
-                    spans = [("worker_step", (perf_counter() - started) * 1e3)]
-                    reply = reply + (spans,)
-            elif op == "export":
-                _, key, index, local_indices = msg
-                home = homes[(key, index)]
-                reply = home["stepper"].shard_export(
-                    home["shard"].payload, local_indices
-                )
-            elif op == "assemble":
-                _, key, index, plan, imports = msg
-                home = homes[(key, index)]
-                home["shard"].payload = home["stepper"].shard_assemble(
-                    home["shard"].payload, plan, imports
-                )
-                home["logw"] = None
-                reply = None
-            elif op == "weights":
-                _, key, index = msg
-                home = homes[(key, index)]
-                if home["logw"] is None:
-                    raise InferenceError(
-                        "weight commit without a preceding step"
-                    )
-                home["shard"].payload = home["stepper"].shard_commit_weights(
-                    home["shard"].payload, home["logw"]
-                )
-                reply = None
-            elif op == "pull":
-                _, key, index = msg
-                reply = homes[(key, index)]["shard"]
             elif op == "unload":
                 _, key = msg
                 for home_key in [k for k in homes if k[0] == key]:
@@ -312,7 +307,12 @@ def _persistent_worker_loop(conn, homes, ring, cmd_ring, fault_state=None) -> No
                 _, fn, task = msg
                 reply = fn(task)
             else:
-                raise InferenceError(f"unknown persistent-worker op {op!r}")
+                if op == "step" and fault_state is not None:
+                    # Crash / hang / error / ring-exhaust faults fire on
+                    # this process's Nth step op (replayed steps count,
+                    # which is what lets gen>=1 faults target revival).
+                    fault_state.on_step(ring)
+                reply = apply_shard_command(homes[msg[1], msg[2]], (op,) + msg[3:])
         except BaseException:
             try:
                 conn.send(("err", traceback.format_exc()))
@@ -740,19 +740,9 @@ class PersistentProcessExecutor(Executor):
                 # fresh worker's ring: the oplog stores real arrays, so
                 # descriptor-encoded and pickled replays are
                 # bit-identical (pack/unpack is an exact byte roundtrip).
-                for entry in state.oplogs[index]:
-                    slot.send_command(self._replay_msg(state.key, index, entry))
+                for command in state.oplogs[index]:
+                    slot.send_command(_shard_message(state.key, index, command))
                     self._expect_ok(slot, timeout=self.step_timeout_s)
-
-    @staticmethod
-    def _replay_msg(key: int, index: int, entry: tuple) -> tuple:
-        if entry[0] == "step":
-            return ("step", key, index, entry[1])
-        if entry[0] == "assemble":
-            return ("assemble", key, index, entry[1], entry[2])
-        if entry[0] == "weights":
-            return ("weights", key, index)
-        raise InferenceError(f"unknown oplog entry {entry[0]!r}")
 
     @staticmethod
     def _expect_ok(slot: _WorkerSlot, timeout: Optional[float] = None) -> Any:
@@ -761,12 +751,26 @@ class PersistentProcessExecutor(Executor):
             raise InferenceError(f"persistent worker failed:\n{value}")
         return value
 
-    def _kill_slot(self, slot_index: int) -> None:
-        """SIGKILL a worker that can no longer be trusted (hang, ring)."""
+    def _slot_failed(self, slot_index: int, exc: BaseException) -> str:
+        """The revival reason of a slot failure; kill a worker left untrusted.
+
+        A missed deadline (``timeout``, also counted in
+        ``repro_worker_timeouts_total``) or an unresolvable reply ring
+        (``ring``) leaves a live worker whose state cannot be trusted, so
+        it is SIGKILLed; a broken pipe (``crash``) means it died already.
+        """
+        if isinstance(exc, WorkerTimeout):
+            count_event("repro_worker_timeouts_total")
+            reason = "timeout"
+        elif isinstance(exc, RingFault):
+            reason = "ring"
+        else:
+            return "crash"
         try:
             self._slots[slot_index].process.kill()
         except Exception:
             pass
+        return reason
 
     def _revive_slot(self, slot_index: int) -> None:
         """Replace a dead worker and rebuild its resident shards."""
@@ -809,17 +813,8 @@ class PersistentProcessExecutor(Executor):
             self._restarts_total += 1
             try:
                 self._revive_slot(slot_index)
-            except WorkerTimeout:
-                self._kill_slot(slot_index)
-                count_event("repro_worker_timeouts_total")
-                reason = "timeout"
-                continue
-            except RingFault:
-                self._kill_slot(slot_index)
-                reason = "ring"
-                continue
-            except _PIPE_ERRORS:
-                reason = "crash"
+            except _SLOT_FAILURES as exc:
+                reason = self._slot_failed(slot_index, exc)
                 continue
             return
 
@@ -849,17 +844,8 @@ class PersistentProcessExecutor(Executor):
                         errors.append(value)
                     else:
                         results[position] = value
-            except WorkerTimeout:
-                self._kill_slot(slot_index)
-                count_event("repro_worker_timeouts_total")
-                reason = "timeout"
-                continue
-            except RingFault:
-                self._kill_slot(slot_index)
-                reason = "ring"
-                continue
-            except _PIPE_ERRORS:
-                reason = "crash"
+            except _SLOT_FAILURES as exc:
+                reason = self._slot_failed(slot_index, exc)
                 continue
             self._failures[slot_index] = 0
             return
@@ -893,7 +879,8 @@ class PersistentProcessExecutor(Executor):
         in_flight: Dict[Any, Tuple[int, int, bool]] = {}  # conn -> (slot, pos, step?)
         deadlines: Dict[Any, float] = {}  # conn -> monotonic deadline
 
-        def fail(slot_index: int, reason: str) -> None:
+        def fail(slot_index: int, exc: BaseException) -> None:
+            reason = self._slot_failed(slot_index, exc)
             failed[slot_index] = (reason, all_items[slot_index])
             queues[slot_index].clear()
 
@@ -908,8 +895,8 @@ class PersistentProcessExecutor(Executor):
                 # the previous reply has been received, so the worker
                 # has consumed the previous command and the ring is free.
                 slot.send_command(msg)
-            except _PIPE_ERRORS:
-                fail(slot_index, "crash")
+            except _PIPE_ERRORS as exc:
+                fail(slot_index, exc)
                 return
             in_flight[slot.conn] = (slot_index, position, msg[0] == "step")
             if self.step_timeout_s is not None:
@@ -937,9 +924,7 @@ class PersistentProcessExecutor(Executor):
                     ]:
                         slot_index, _, _ = in_flight.pop(conn)
                         deadlines.pop(conn, None)
-                        self._kill_slot(slot_index)
-                        count_event("repro_worker_timeouts_total")
-                        fail(slot_index, "timeout")
+                        fail(slot_index, WorkerTimeout("reply deadline missed"))
                     continue
             for conn in ready:
                 slot_index, position, is_step = in_flight.pop(conn)
@@ -953,12 +938,8 @@ class PersistentProcessExecutor(Executor):
                     tag, value = self._slots[slot_index].recv_reply(
                         views=is_step
                     )
-                except RingFault:
-                    self._kill_slot(slot_index)
-                    fail(slot_index, "ring")
-                    continue
-                except _PIPE_ERRORS:
-                    fail(slot_index, "crash")
+                except _SLOT_FAILURES as exc:
+                    fail(slot_index, exc)
                     continue
                 if tag == "err":
                     errors.append(value)
@@ -1009,66 +990,67 @@ class PersistentProcessExecutor(Executor):
         self._populations[key] = _ResidentState(
             key, stepper, [shard_len(shard) for shard in shards], shards
         )
-        self._scatter_gather(
+        self._to_shards(
+            key, [(i, ("load", shard, stepper)) for i, shard in enumerate(shards)]
+        )
+
+    def _to_shards(self, key: int, commands) -> List[Any]:
+        """Send ``(shard index, command)`` pairs; replies in command order."""
+        return self._scatter_gather(
             [
-                (self._slot_of(i), ("load", key, i, shard, stepper))
-                for i, shard in enumerate(shards)
+                (self._slot_of(index), _shard_message(key, index, command))
+                for index, command in commands
             ]
         )
 
-    def _mutate(self, state: "_ResidentState", msgs) -> List[Any]:
-        """Run mutating commands; a failure part-way poisons the key.
+    def _mutate(self, state: "_ResidentState", commands, logged=None) -> List[Any]:
+        """Run one command per shard and log it; a failure poisons the key.
 
-        When one shard's command errors, the other shards have already
-        advanced in their workers, so the resident state no longer
-        matches the oplog (or anything the serial path could produce).
-        Nothing can repair that consistently — the population is marked
-        unusable and every later command on it raises, instead of
-        silently stepping desynchronized shards.
+        ``commands[i]`` goes to shard ``i`` and, once every shard has
+        applied its command, enters that shard's oplog (``logged[i]``
+        instead, when given). When one shard's command errors, the
+        other shards have already advanced in their workers, so the
+        resident state no longer matches the oplog (or anything the
+        serial path could produce). Nothing can repair that consistently
+        — the population is marked unusable and every later command on
+        it raises, instead of silently stepping desynchronized shards.
         """
         try:
-            return self._scatter_gather(msgs)
+            replies = self._to_shards(state.key, enumerate(commands))
         except Exception:
             state.poisoned = True
             raise
+        for oplog, command in zip(state.oplogs, logged or commands):
+            oplog.append(command)
+        return replies
 
     def step_population(
         self, key: int, inp: Any, trace: bool = False
-    ) -> List[Tuple[Any, Any, Any]]:
-        """Advance every shard; returns per-shard (outs, step_logw, prev_logw).
+    ) -> List[Tuple[Any, Any, Any, Any]]:
+        """Advance every shard; returns per-shard (outs, step_logw, prev_logw, spans).
 
-        With ``trace=True`` each worker times its shard step and appends
-        the span list as a fourth summary element. The oplog records the
-        step without the flag — replayed steps never trace.
+        With ``trace=True`` each worker times its shard step and ships
+        the span list as ``spans`` (None otherwise). The oplog records
+        the step with the flag cleared — replayed steps never trace.
         """
         state = self._state(key)
-        summaries = self._mutate(
+        return self._mutate(
             state,
-            [
-                (self._slot_of(i), ("step", key, i, inp, trace))
-                for i in range(state.n_shards)
-            ],
+            [("step", inp, trace)] * state.n_shards,
+            [("step", inp, False)] * state.n_shards,
         )
-        for oplog in state.oplogs:
-            oplog.append(("step", inp))
-        return summaries
 
     def commit_population_weights(self, key: int) -> None:
         """No-resample barrier: workers fold step weights in-place."""
         state = self._state(key)
-        self._mutate(
-            state,
-            [(self._slot_of(i), ("weights", key, i)) for i in range(state.n_shards)],
-        )
-        for oplog in state.oplogs:
-            oplog.append(("weights",))
+        self._mutate(state, [("weights",)] * state.n_shards)
         self._after_commit(state)
 
     def exchange_population(
         self,
         key: int,
         requests: Sequence[Dict[int, List[int]]],
-        plans: Sequence[List[tuple]],
+        plans: Sequence[Any],
     ) -> None:
         """Resample barrier: export migrating particles, rebuild shards.
 
@@ -1085,32 +1067,22 @@ class PersistentProcessExecutor(Executor):
             for dest, request in enumerate(requests)
             for source, local_indices in sorted(request.items())
         ]
-        packages = self._scatter_gather(
-            [
-                (self._slot_of(source), ("export", key, source, local_indices))
-                for _, source, local_indices in pairs
-            ]
+        packages = self._to_shards(
+            key, [(source, ("export", local)) for _, source, local in pairs]
         )
         imports: List[Dict[int, Any]] = [{} for _ in range(state.n_shards)]
         for (dest, source, _), package in zip(pairs, packages):
             imports[dest][source] = package
         self._mutate(
             state,
-            [
-                (self._slot_of(d), ("assemble", key, d, plans[d], imports[d]))
-                for d in range(state.n_shards)
-            ],
+            [("assemble", plans[d], imports[d]) for d in range(state.n_shards)],
         )
-        for d in range(state.n_shards):
-            state.oplogs[d].append(("assemble", plans[d], imports[d]))
         self._after_commit(state)
 
     def pull_population(self, key: int) -> List[Any]:
         """Fresh copies of every resident shard, in shard order."""
         state = self._state(key)
-        return self._scatter_gather(
-            [(self._slot_of(i), ("pull", key, i)) for i in range(state.n_shards)]
-        )
+        return self._to_shards(key, [(i, ("pull",)) for i in range(state.n_shards)])
 
     def release_population(self, key: int) -> None:
         """Drop a resident population (worker memory and checkpoints)."""
@@ -1161,13 +1133,13 @@ class PersistentProcessExecutor(Executor):
         :class:`~repro.exec.server.StreamServer` session fails
         mid-step, the engine's ``recover_resident`` reassembles the
         population from the coordinator's own checkpoints + oplogs,
-        then steps it serially or reloads it into the pool. Replay
-        mirrors the worker loop exactly (same ``step_shard`` /
-        ``shard_assemble`` / ``shard_commit_weights`` calls on the same
-        checkpointed payload and RNG substream), so the recovered
-        shards are bit-identical to the lost residents.
+        then steps it serially or reloads it into the pool. Each oplog
+        command runs through :func:`apply_shard_command`, the routine
+        the worker itself runs, on the checkpointed payload and RNG
+        substream — so the recovered shards are bit-identical to the
+        lost residents.
 
-        A trailing unpaired ``step`` entry — one whose commit barrier
+        A trailing unpaired ``step`` command — one whose commit barrier
         never ran because that is where the pool died — is dropped:
         the engine re-runs that step in full on the recovered shards.
         Deliberately ignores the ``poisoned`` flag (recovery is the one
@@ -1179,38 +1151,19 @@ class PersistentProcessExecutor(Executor):
         if state is None:
             raise InferenceError(f"no resident population with key {key!r}")
         shards: List[Any] = []
-        for index in range(state.n_shards):
+        for checkpoint, oplog in zip(state.checkpoints, state.oplogs):
             # Replay mutates the payload in place for some steppers —
             # roundtrip the checkpoint so it stays a pristine copy.
-            shard = pickle.loads(pickle.dumps(state.checkpoints[index]))
-            oplog = list(state.oplogs[index])
+            home = {
+                "shard": pickle.loads(pickle.dumps(checkpoint)),
+                "stepper": state.stepper,
+                "logw": None,
+            }
             if oplog and oplog[-1][0] == "step":
-                oplog.pop()
-            logw = None
-            for entry in oplog:
-                if entry[0] == "step":
-                    result = state.stepper.step_shard(
-                        shard.payload, shard.rng, entry[1]
-                    )
-                    shard.payload = result.payload
-                    shard.rng = result.rng
-                    logw = result.prev_log_weights + result.step_log_weights
-                elif entry[0] == "assemble":
-                    shard.payload = state.stepper.shard_assemble(
-                        shard.payload, entry[1], entry[2]
-                    )
-                    logw = None
-                elif entry[0] == "weights":
-                    if logw is None:
-                        raise InferenceError(
-                            "weight commit without a preceding step"
-                        )
-                    shard.payload = state.stepper.shard_commit_weights(
-                        shard.payload, logw
-                    )
-                else:
-                    raise InferenceError(f"unknown oplog entry {entry[0]!r}")
-            shards.append(shard)
+                oplog = oplog[:-1]
+            for command in oplog:
+                apply_shard_command(home, command)
+            shards.append(home["shard"])
         return shards
 
 

@@ -212,23 +212,21 @@ class ShardSummary:
     #: accumulated log-weights carried into the step
     prev_log_weights: np.ndarray
     #: worker-side telemetry spans ``[(phase, duration_ms), ...]`` when
-    #: the step command requested tracing; None otherwise. Old replies
-    #: (and oplog replays) omit the field entirely.
-    spans: Any = None
+    #: the step command requested tracing; None otherwise.
+    spans: Any
 
 
 class ExchangePlan:
     """Array-encoded slot plan of one destination shard at the barrier.
 
-    The transport-friendly form of the per-slot tuple list: three
-    parallel arrays — ``kind`` (0 = local ancestor, 1 = import),
+    Three parallel arrays — ``kind`` (0 = local ancestor, 1 = import),
     ``a`` (the local index for kind 0, the source shard for kind 1) and
     ``b`` (the export-package row for kind 1) — that ride the
     shared-memory command ring as descriptors instead of pickling
-    O(shard size) tuples every resample. Iterating yields exactly the
-    classic entries (``("local", i)`` / ``("import", s, r)``), so the
-    scalar engine's clone bookkeeping is unchanged; the vectorized
-    engine consumes the arrays directly.
+    O(shard size) tuples every resample. The vectorized engine consumes
+    the arrays directly; iterating yields the per-slot entries
+    (``("local", i)`` / ``("import", s, r)``) that the scalar engine's
+    clone bookkeeping reads.
     """
 
     __slots__ = ("kind", "a", "b")
@@ -256,18 +254,6 @@ class ExchangePlan:
 
     def __setstate__(self, state):
         self.kind, self.a, self.b = state
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExchangePlan):
-            return (
-                np.array_equal(self.kind, other.kind)
-                and np.array_equal(self.a, other.a)
-                and np.array_equal(self.b, other.b)
-            )
-        if isinstance(other, (list, tuple)):
-            # Entry-tuple form, the pre-array representation.
-            return list(self) == list(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         imports = int(np.count_nonzero(self.kind))
@@ -334,8 +320,7 @@ def build_exchange_plan(
         rows_by_source: Dict[int, Dict[int, int]] = {}
         for pos in np.nonzero(kind)[0]:
             # Import rows are numbered in first-appearance order per
-            # source — the same dedup the tuple-based plan used, so the
-            # rebuilt shards are bit-identical.
+            # source: an ancestor used by several slots ships once.
             rows = rows_by_source.setdefault(int(source[pos]), {})
             b[pos] = rows.setdefault(int(local[pos]), len(rows))
         plans.append(ExchangePlan(kind, a, b))

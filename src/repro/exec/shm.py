@@ -52,6 +52,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.obs.registry import count_event
+from repro.symbolic import map_leaves
 
 try:  # pragma: no cover - exercised by absence only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -208,18 +209,16 @@ def materialize(obj: Any) -> Any:
     first. Writable arrays — anything that is not a ring view — pass
     through untouched, as do non-array leaves.
     """
-    if isinstance(obj, np.ndarray):
-        return np.array(obj) if not obj.flags.writeable else obj
-    if isinstance(obj, tuple):
-        return tuple(materialize(o) for o in obj)
-    if isinstance(obj, list):
-        return [materialize(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: materialize(v) for k, v in obj.items()}
-    codec = _LEAF_CODECS.get(type(obj))
+    return map_leaves(obj, _materialize_leaf)
+
+
+def _materialize_leaf(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return value if value.flags.writeable else np.array(value)
+    codec = _LEAF_CODECS.get(type(value))
     if codec is not None:
-        return codec[1](materialize(codec[0](obj)))
-    return obj
+        return codec[1](materialize(codec[0](value)))
+    return value
 
 
 class ShmRing:
@@ -302,21 +301,16 @@ class ShmRing:
         are accounted as fallbacks in ``stats``).
         """
         cursor = [0]
-        return self._pack(obj, cursor, stats)
 
-    def _pack(self, obj: Any, cursor: List[int], stats) -> Any:
-        if isinstance(obj, np.ndarray):
-            return self._park(obj, cursor, stats)
-        if isinstance(obj, tuple):
-            return tuple(self._pack(o, cursor, stats) for o in obj)
-        if isinstance(obj, list):
-            return [self._pack(o, cursor, stats) for o in obj]
-        if isinstance(obj, dict):
-            return {k: self._pack(v, cursor, stats) for k, v in obj.items()}
-        codec = _LEAF_CODECS.get(type(obj))
-        if codec is not None:
-            return ShmLeaf(type(obj), self._pack(codec[0](obj), cursor, stats))
-        return obj
+        def leaf(value: Any) -> Any:
+            if isinstance(value, np.ndarray):
+                return self._park(value, cursor, stats)
+            codec = _LEAF_CODECS.get(type(value))
+            if codec is not None:
+                return ShmLeaf(type(value), map_leaves(codec[0](value), leaf))
+            return value
+
+        return map_leaves(obj, leaf)
 
     def _park(self, array: np.ndarray, cursor: List[int], stats) -> Any:
         if array.dtype.hasobject or array.nbytes < MIN_BYTES:
@@ -366,33 +360,32 @@ class ShmRing:
         fallbacks in ``stats`` — this is how the coordinator observes
         overflow that happened on the *worker* side of a reply ring.
         """
-        if isinstance(obj, ShmBlock):
-            count = int(np.prod(obj.shape, dtype=np.int64)) if obj.shape else 1
-            view = np.frombuffer(
-                self._shm.buf, dtype=np.dtype(obj.dtype), count=count,
-                offset=obj.offset,
-            )
-            if stats is not None:
-                stats.shm_bytes += int(view.nbytes)
-            if mode == "view":
-                view.flags.writeable = False
-                return view.reshape(obj.shape)
-            return np.array(view).reshape(obj.shape)
-        if isinstance(obj, np.ndarray):
-            if stats is not None and not obj.dtype.hasobject:
-                stats.pickled_bytes += int(obj.nbytes)
-                if obj.nbytes >= MIN_BYTES:
-                    stats.fallbacks += 1
-            return obj
-        if isinstance(obj, tuple):
-            return tuple(self.unpack(o, mode, stats) for o in obj)
-        if isinstance(obj, list):
-            return [self.unpack(o, mode, stats) for o in obj]
-        if isinstance(obj, dict):
-            return {k: self.unpack(v, mode, stats) for k, v in obj.items()}
-        if isinstance(obj, ShmLeaf):
-            return _LEAF_CODECS[obj.cls][1](self.unpack(obj.parts, mode, stats))
-        return obj
+
+        def leaf(value: Any) -> Any:
+            if isinstance(value, ShmBlock):
+                shape = value.shape
+                count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+                view = np.frombuffer(
+                    self._shm.buf, dtype=np.dtype(value.dtype), count=count,
+                    offset=value.offset,
+                )
+                if stats is not None:
+                    stats.shm_bytes += int(view.nbytes)
+                if mode == "view":
+                    view.flags.writeable = False
+                    return view.reshape(shape)
+                return np.array(view).reshape(shape)
+            if isinstance(value, np.ndarray):
+                if stats is not None and not value.dtype.hasobject:
+                    stats.pickled_bytes += int(value.nbytes)
+                    if value.nbytes >= MIN_BYTES:
+                        stats.fallbacks += 1
+                return value
+            if isinstance(value, ShmLeaf):
+                return _LEAF_CODECS[value.cls][1](map_leaves(value.parts, leaf))
+            return value
+
+        return map_leaves(obj, leaf)
 
     def __repr__(self) -> str:
         role = "owner" if self._owner else "worker"

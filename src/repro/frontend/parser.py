@@ -85,14 +85,14 @@ _BINOPS = {
     "<>": "ne",
 }
 
-_unit_counter = itertools.count()
-
-
 class _Parser:
     def __init__(self, tokens: List[Token], node_names: Set[str]):
         self.tokens = tokens
         self.pos = 0
         self.node_names = node_names
+        # Temporaries are numbered per parse, so one source always
+        # parses to the same program.
+        self._units = itertools.count()
 
     # ------------------------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -180,7 +180,7 @@ class _Parser:
             self.next()
             self.next()
             self.expect("symbol", "=")
-            name = f"_unit{next(_unit_counter)}"
+            name = f"_unit{next(self._units)}"
             return Eq(name, self.parse_arrow())
         name = self.expect("ident").text
         self.expect("symbol", "=")

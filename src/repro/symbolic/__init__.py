@@ -10,9 +10,11 @@ from repro.symbolic.expr import (
     eval_expr,
     free_rvars,
     is_symbolic,
+    map_leaves,
     rebuild_tuple,
     register_op,
     structure_rvars,
+    zip_leaves,
 )
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "free_rvars",
     "eval_expr",
     "rebuild_tuple",
+    "map_leaves",
+    "zip_leaves",
     "register_op",
     "structure_rvars",
     "AffineForm",

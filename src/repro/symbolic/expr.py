@@ -39,6 +39,8 @@ __all__ = [
     "free_rvars",
     "eval_expr",
     "rebuild_tuple",
+    "map_leaves",
+    "zip_leaves",
     "structure_rvars",
 ]
 
@@ -258,6 +260,38 @@ def rebuild_tuple(value: tuple, items: List[Any]) -> tuple:
         return tuple(items)
     make = getattr(cls, "_make", None)
     return make(items) if make is not None else cls(items)
+
+
+def map_leaves(value: Any, fn: Callable[[Any], Any]) -> Any:
+    """Rebuild a pytree of tuples, lists and dicts, applying ``fn`` to every leaf.
+
+    Tuples keep their type, so a namedtuple state stays one.
+    """
+    if isinstance(value, tuple):
+        items = [map_leaves(v, fn) for v in value]
+        # Plain tuples skip the call: model states nest dozens of them.
+        return tuple(items) if type(value) is tuple else rebuild_tuple(value, items)
+    if isinstance(value, list):
+        return [map_leaves(v, fn) for v in value]
+    if isinstance(value, dict):
+        return {k: map_leaves(v, fn) for k, v in value.items()}
+    return fn(value)
+
+
+def zip_leaves(values: List[Any], fn: Callable[[List[Any]], Any]) -> Any:
+    """Rebuild parallel pytrees into one, applying ``fn`` to each leaf list.
+
+    The structure (and tuple type) is the first pytree's.
+    """
+    head = values[0]
+    if isinstance(head, tuple):
+        items = [zip_leaves(list(parts), fn) for parts in zip(*values)]
+        return tuple(items) if type(head) is tuple else rebuild_tuple(head, items)
+    if isinstance(head, list):
+        return [zip_leaves(list(parts), fn) for parts in zip(*values)]
+    if isinstance(head, dict):
+        return {k: zip_leaves([v[k] for v in values], fn) for k in head}
+    return fn(values)
 
 
 def structure_rvars(value: Any) -> Iterator[Any]:

@@ -29,11 +29,12 @@ without special cases in the executors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, List
 
 import numpy as np
 
 from repro.errors import InferenceError
+from repro.symbolic import map_leaves, zip_leaves
 
 __all__ = [
     "ParticleBatch",
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 
+def _not_a_leaf(value: Any) -> InferenceError:
+    return InferenceError(
+        f"batch state leaves must be arrays (or None), got {type(value).__name__}"
+    )
+
+
 def gather(state: Any, indices: np.ndarray) -> Any:
     """Index every array leaf of a batch state along the particle axis.
 
@@ -52,21 +59,18 @@ def gather(state: Any, indices: np.ndarray) -> Any:
     resampling: ``state[indices]`` materializes fresh arrays, so the
     surviving particles never alias each other's storage.
     """
-    if state is None:
-        return None
-    if hasattr(state, "batch_gather"):
-        return state.batch_gather(np.asarray(indices))
-    if isinstance(state, np.ndarray):
-        return state[indices]
-    if isinstance(state, tuple):
-        return tuple(gather(s, indices) for s in state)
-    if isinstance(state, list):
-        return [gather(s, indices) for s in state]
-    if isinstance(state, dict):
-        return {k: gather(v, indices) for k, v in state.items()}
-    raise InferenceError(
-        f"batch state leaves must be arrays (or None), got {type(state).__name__}"
-    )
+    indices = np.asarray(indices)
+
+    def leaf(value: Any) -> Any:
+        if value is None:
+            return None
+        if hasattr(value, "batch_gather"):
+            return value.batch_gather(indices)
+        if isinstance(value, np.ndarray):
+            return value[indices]
+        raise _not_a_leaf(value)
+
+    return map_leaves(state, leaf)
 
 
 def slice_state(state: Any, start: int, stop: int) -> Any:
@@ -76,21 +80,17 @@ def slice_state(state: Any, start: int, stop: int) -> Any:
     particle range (shards never overlap, so views are safe to advance
     independently).
     """
-    if state is None:
-        return None
-    if hasattr(state, "batch_slice"):
-        return state.batch_slice(start, stop)
-    if isinstance(state, np.ndarray):
-        return state[start:stop]
-    if isinstance(state, tuple):
-        return tuple(slice_state(s, start, stop) for s in state)
-    if isinstance(state, list):
-        return [slice_state(s, start, stop) for s in state]
-    if isinstance(state, dict):
-        return {k: slice_state(v, start, stop) for k, v in state.items()}
-    raise InferenceError(
-        f"batch state leaves must be arrays (or None), got {type(state).__name__}"
-    )
+
+    def leaf(value: Any) -> Any:
+        if value is None:
+            return None
+        if hasattr(value, "batch_slice"):
+            return value.batch_slice(start, stop)
+        if isinstance(value, np.ndarray):
+            return value[start:stop]
+        raise _not_a_leaf(value)
+
+    return map_leaves(state, leaf)
 
 
 def concat_states(states: Any) -> Any:
@@ -102,22 +102,18 @@ def concat_states(states: Any) -> Any:
     states = list(states)
     if not states:
         raise InferenceError("cannot concatenate an empty state list")
-    head = states[0]
+    return zip_leaves(states, _concat_leaf)
+
+
+def _concat_leaf(values: List[Any]) -> Any:
+    head = values[0]
     if head is None:
         return None
     if hasattr(head, "batch_concat"):
-        return head.batch_concat(states[1:])
+        return head.batch_concat(values[1:])
     if isinstance(head, np.ndarray) or np.isscalar(head):
-        return np.concatenate([np.atleast_1d(np.asarray(s)) for s in states])
-    if isinstance(head, tuple):
-        return tuple(concat_states(parts) for parts in zip(*states))
-    if isinstance(head, list):
-        return [concat_states(parts) for parts in zip(*states)]
-    if isinstance(head, dict):
-        return {k: concat_states([s[k] for s in states]) for k in head}
-    raise InferenceError(
-        f"batch state leaves must be arrays (or None), got {type(head).__name__}"
-    )
+        return np.concatenate([np.atleast_1d(np.asarray(v)) for v in values])
+    raise _not_a_leaf(head)
 
 
 def state_rows(state: Any) -> int:

@@ -62,6 +62,7 @@ from repro.inference.resampling import committed_log_weights, normalize_log_weig
 from repro.obs.registry import count_event
 from repro.obs.spans import TELEMETRY
 from repro.runtime.node import ProbNode
+from repro.symbolic import map_leaves
 from repro.vectorized.batch import (
     ParticleBatch,
     concat_states,
@@ -90,7 +91,6 @@ from repro.vectorized.sds_graph import (
     ChainOuts,
     ChainState,
     ChainStructureError,
-    _map_leaves,
     delta_rows,
     has_particle_rows,
     lift_output,
@@ -246,7 +246,9 @@ class VectorizedEngine(InferenceEngine):
         """Worker-side: the state rows another shard needs at the barrier."""
         return gather(batch.state, np.asarray(indices, dtype=int))
 
-    def shard_assemble(self, batch: ParticleBatch, plan: Any, imports: Any) -> ParticleBatch:
+    def shard_assemble(
+        self, batch: ParticleBatch, plan: ExchangePlan, imports: Any
+    ) -> ParticleBatch:
         """Worker-side: rebuild one shard slice from the exchange plan.
 
         Local survivors and imported row blocks are stacked into one
@@ -263,22 +265,10 @@ class VectorizedEngine(InferenceEngine):
             combined = concat_states([batch.state] + [imports[s] for s in sources])
         else:
             combined = batch.state
-        if isinstance(plan, ExchangePlan):
-            # Array-native plan: the slot selection is pure index
-            # arithmetic, no per-slot Python loop.
-            indices = np.where(plan.kind == ExchangePlan.LOCAL, plan.a, 0)
-            for source in sources:
-                mask = (plan.kind == ExchangePlan.IMPORT) & (plan.a == source)
-                indices[mask] = offsets[source] + plan.b[mask]
-        else:
-            indices = np.fromiter(
-                (
-                    entry[1] if entry[0] == "local" else offsets[entry[1]] + entry[2]
-                    for entry in plan
-                ),
-                dtype=int,
-                count=len(plan),
-            )
+        indices = np.where(plan.kind == ExchangePlan.LOCAL, plan.a, 0)
+        for source in sources:
+            mask = (plan.kind == ExchangePlan.IMPORT) & (plan.a == source)
+            indices[mask] = offsets[source] + plan.b[mask]
         return ParticleBatch(gather(combined, indices), np.zeros(len(plan)))
 
     def shard_commit_weights(
@@ -633,7 +623,7 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
 
         particles = []
         for i in range(n):
-            scalar_state = _map_leaves(model_state, lambda leaf: row(leaf, i))
+            scalar_state = map_leaves(model_state, lambda leaf: row(leaf, i))
             graph_i = engine._fresh_graph() if engine.persistent_graph else None
             particles.append(Particle(scalar_state, graph_i, float(log_weights[i])))
         return particles

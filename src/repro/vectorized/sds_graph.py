@@ -128,7 +128,9 @@ from repro.symbolic import (
     SymExpr,
     extract_affine,
     is_symbolic,
+    map_leaves,
     rebuild_tuple,
+    zip_leaves,
 )
 from repro.vectorized.kernels import (
     bernoulli_log_prob,
@@ -1552,34 +1554,6 @@ def has_particle_rows(value: Any, n: int) -> bool:
     return isinstance(value, np.ndarray) and value.ndim >= 1 and value.shape[0] == n
 
 
-def _map_leaves(value: Any, fn) -> Any:
-    """Rebuild a state pytree, applying ``fn`` to every non-container leaf.
-
-    Tuples keep their type, so a namedtuple model state stays one.
-    """
-    if isinstance(value, tuple):
-        items = [_map_leaves(v, fn) for v in value]
-        return tuple(items) if type(value) is tuple else rebuild_tuple(value, items)
-    if isinstance(value, list):
-        return [_map_leaves(v, fn) for v in value]
-    if isinstance(value, dict):
-        return {k: _map_leaves(v, fn) for k, v in value.items()}
-    return fn(value)
-
-
-def _zip_leaves(values: List[Any], fn) -> Any:
-    """Rebuild parallel state pytrees into one, applying ``fn`` leafwise."""
-    head = values[0]
-    if isinstance(head, tuple):
-        items = [_zip_leaves(list(parts), fn) for parts in zip(*values)]
-        return tuple(items) if type(head) is tuple else rebuild_tuple(head, items)
-    if isinstance(head, list):
-        return [_zip_leaves(list(parts), fn) for parts in zip(*values)]
-    if isinstance(head, dict):
-        return {k: _zip_leaves([v[k] for v in values], fn) for k in head}
-    return fn(values)
-
-
 def _remap_expr(expr: Any, graph: BatchedDSGraph) -> Any:
     """Re-point every RVar inside a symbolic expression at ``graph``."""
     if isinstance(expr, RVar):
@@ -1629,7 +1603,7 @@ class ChainState:
                         )
             return leaf
 
-        _map_leaves(self.model_state, visit)
+        map_leaves(self.model_state, visit)
         return roots
 
     def _transform(self, new_graph, array_op, n_new: int) -> "ChainState":
@@ -1642,7 +1616,7 @@ class ChainState:
                 return array_op(value)
             return value
 
-        return ChainState(new_graph, _map_leaves(self.model_state, leaf), n_new)
+        return ChainState(new_graph, map_leaves(self.model_state, leaf), n_new)
 
     def batch_rows(self) -> int:
         return self.n
@@ -1682,7 +1656,7 @@ class ChainState:
             return head
 
         return ChainState(
-            new_graph, _zip_leaves([s.model_state for s in states], leaf), total
+            new_graph, zip_leaves([s.model_state for s in states], leaf), total
         )
 
     def batch_words(self) -> int:
@@ -1698,7 +1672,7 @@ class ChainState:
                 words += 1
             return value
 
-        _map_leaves(self.model_state, leaf)
+        map_leaves(self.model_state, leaf)
         return words
 
     def __repr__(self) -> str:
@@ -1718,7 +1692,7 @@ def wrap_batch_state(model_state: Any, n: int) -> Any:
     def leaf(value: Any) -> Any:
         return BatchConst(value) if has_particle_rows(value, n) else value
 
-    return _map_leaves(model_state, leaf)
+    return map_leaves(model_state, leaf)
 
 
 def lift_output(

@@ -21,9 +21,10 @@ from repro.delayed.conjugacy import (
     GammaPoisson,
     GaussianProjection,
     MvAffineGaussian,
+    _NegativeBinomialMarginal,
 )
 from repro.dists import Beta, Dirichlet, Gamma, Gaussian, MvGaussian
-from repro.errors import GraphError
+from repro.errors import DistributionError, GraphError
 
 
 class TestAffineGaussian:
@@ -216,6 +217,13 @@ class TestGammaPoisson:
 
     def test_at_parent_value(self):
         assert GammaPoisson().at_parent_value(4.0).lam == 4.0
+
+    @pytest.mark.parametrize("shape, rate", [(1.0, math.nan), (-1.0, 2.0)])
+    def test_marginal_rejects_invalid_parameters(self, shape, rate):
+        # A NaN rate would give NaN log-densities, a negative shape a
+        # bare math domain error; both fail at construction instead.
+        with pytest.raises(DistributionError):
+            _NegativeBinomialMarginal(shape, rate)
 
 
 class TestDirichletCategorical:

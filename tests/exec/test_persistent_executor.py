@@ -19,6 +19,8 @@ from repro.errors import InferenceError
 from repro.exec import (
     PersistentProcessExecutor,
     ResidentPopulation,
+    SerialExecutor,
+    ShardedPopulation,
     build_exchange_plan,
     parse_executor,
 )
@@ -44,29 +46,30 @@ def posterior_means(executor, *, method="pf", backend="scalar", n_particles=12,
 class TestExchangePlan:
     def test_all_local_when_indices_stay_home(self):
         plans, requests = build_exchange_plan(np.array([0, 1, 2, 3]), [2, 2])
-        assert plans == [[("local", 0), ("local", 1)],
-                         [("local", 0), ("local", 1)]]
+        assert [list(plan) for plan in plans] == [
+            [("local", 0), ("local", 1)], [("local", 0), ("local", 1)]
+        ]
         assert requests == [{}, {}]
 
     def test_migrating_ancestors_become_imports(self):
         plans, requests = build_exchange_plan(np.array([0, 3, 3, 1]), [2, 2])
-        assert plans[0] == [("local", 0), ("import", 1, 0)]
+        assert list(plans[0]) == [("local", 0), ("import", 1, 0)]
         assert requests[0] == {1: [1]}
         # shard 1's slots are indices [3, 1]: one local, one import
-        assert plans[1] == [("local", 1), ("import", 0, 0)]
+        assert list(plans[1]) == [("local", 1), ("import", 0, 0)]
         assert requests[1] == {0: [1]}
 
     def test_repeated_ancestor_shipped_once(self):
         plans, requests = build_exchange_plan(np.array([3, 3, 3, 3]), [2, 2])
-        assert plans[0] == [("import", 1, 0), ("import", 1, 0)]
+        assert list(plans[0]) == [("import", 1, 0), ("import", 1, 0)]
         assert requests[0] == {1: [1]}
-        assert plans[1] == [("local", 1), ("local", 1)]
+        assert list(plans[1]) == [("local", 1), ("local", 1)]
 
     def test_unbalanced_sizes(self):
         plans, requests = build_exchange_plan(np.array([4, 0, 1, 2, 3]), [3, 2])
-        assert plans[0] == [("import", 1, 0), ("local", 0), ("local", 1)]
+        assert list(plans[0]) == [("import", 1, 0), ("local", 0), ("local", 1)]
         assert requests[0] == {1: [1]}
-        assert plans[1] == [("import", 0, 0), ("local", 0)]
+        assert list(plans[1]) == [("import", 0, 0), ("local", 0)]
         assert requests[1] == {0: [2]}
 
     def test_wrong_index_count_rejected(self):
@@ -318,5 +321,60 @@ class TestCrashRecovery:
             state = engine.init()
             dist, state = engine.step(state, 0.5)
             assert np.isfinite(dist.mean())
+        finally:
+            executor.close()
+
+
+class TestRecoveryEqualsWorker:
+    """Coordinator-side recovery rebuilds the shards the workers hold.
+
+    ``recover_population`` replays checkpoint + oplog through the same
+    routine the workers run; at every oplog point (checkpoints refresh
+    every 3 instants) it must reproduce the live residents exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "method, backend, model_cls",
+        [
+            ("pf", "scalar", HmmModel),
+            ("sds", "scalar", OutlierModel),
+            ("pf", "vectorized", HmmModel),
+            ("bds", "vectorized", OutlierModel),  # batched graph engine
+        ],
+    )
+    def test_recovered_shards_match_pulled_shards(self, method, backend, model_cls):
+        # Spread-out observations make every engine log both barrier
+        # kinds: resampling ("assemble") and weight commits ("weights").
+        obs = (3.0 * np.random.default_rng(11).normal(size=12)).tolist()
+        executor = PersistentProcessExecutor(workers=2, checkpoint_every=3)
+        try:
+            engine = infer(
+                model_cls(), n_particles=12, method=method, backend=backend,
+                seed=3, executor=executor, resample_threshold=0.5,
+            )
+            state = engine.init()
+            barriers = set()
+            for y in obs[:7]:
+                _, state = engine.step(state, y)
+                oplog = executor._populations[state.key].oplogs[0]
+                barriers.update(command[0] for command in oplog[1::2])
+                recovered = executor.recover_population(state.key)
+                pulled = executor.pull_population(state.key)
+                assert [s.rng.bit_generator.state for s in recovered] == [
+                    s.rng.bit_generator.state for s in pulled
+                ]
+            assert barriers == {"assemble", "weights"}
+            # Continue both populations serially from one engine state.
+            engine.executor = SerialExecutor()
+            rng_state = engine.rng.bit_generator.state
+            continued = []
+            for shards in (recovered, pulled):
+                engine.rng.bit_generator.state = rng_state
+                population, means = ShardedPopulation(shards), []
+                for y in obs[7:]:
+                    dist, population = engine.step(population, y)
+                    means.append(dist.mean())
+                continued.append(means)
+            assert continued[0] == continued[1]
         finally:
             executor.close()

@@ -6,6 +6,8 @@ serial, thread, and persistent process executors at any worker count —
 on the scalar and the vectorized substrate alike.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.exec import (
     ShardedPopulation,
 )
 from repro.inference import infer
+from repro.vectorized import VectorizedModel
 
 OBSERVATIONS = (0.5, 1.0, -0.3, 2.0, 0.8, -1.1)
 
@@ -107,6 +110,36 @@ class TestVectorizedEquivalence:
         assert posterior_means("threads:2", **kwargs) == posterior_means(
             "serial", **kwargs
         )
+
+
+WalkState = namedtuple("WalkState", "x")
+
+
+class NamedStateWalk(VectorizedModel):
+    """A batched Gaussian random walk whose state is read by field name."""
+
+    def init_batch(self, n, rng):
+        return WalkState(np.zeros(n))
+
+    def step_batch(self, state, yobs, n, rng):
+        x = state.x + rng.normal(size=n)
+        return x, WalkState(x), -0.5 * (float(yobs) - x) ** 2
+
+
+class TestNamedTupleState:
+    """A namedtuple batch state keeps its type through resampling, shard
+    slicing and merging, and both shared-memory rings."""
+
+    @pytest.mark.parametrize(
+        "executor", [None, "threads:2", "processes-persistent:2"]
+    )
+    def test_state_fields_survive_every_instant(self, executor):
+        kwargs = dict(backend="vectorized", model_cls=NamedStateWalk)
+        means = posterior_means(executor, **kwargs)
+        assert len(means) == len(OBSERVATIONS)
+        assert np.all(np.isfinite(means))
+        if executor is not None:
+            assert means == posterior_means("serial", **kwargs)
 
 
 class TestShardConfiguration:

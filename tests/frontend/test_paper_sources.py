@@ -8,7 +8,15 @@ is chosen at the `infer` site.
 
 import pytest
 
-from repro.core import Interpreter, check_program, load, prepare_program
+from repro.bench.paper_sources import HMM_SOURCE
+from repro.core import (
+    Interpreter,
+    check_program,
+    compile_program,
+    desugar_program,
+    load,
+    prepare_program,
+)
 from repro.frontend import parse_program
 from repro.inference import infer
 
@@ -108,3 +116,15 @@ class TestMainDriver:
             (est, mse), state = main.step(state, (truth, obs))
             expected, tracker_state = tracker.step(tracker_state, (est, truth))
             assert mse == pytest.approx(expected, rel=1e-12)
+
+
+class TestDeterministicNames:
+    def test_one_source_parses_and_compiles_to_one_program(self):
+        """Front-end temporaries are numbered per call, not per process:
+        the Section-2 HMM parsed, desugared and compiled twice gives
+        equal programs."""
+        first, second = parse_program(HMM_SOURCE), parse_program(HMM_SOURCE)
+        assert first == second
+        assert desugar_program(first) == desugar_program(second)
+        assert prepare_program(first) == prepare_program(second)
+        assert compile_program(first) == compile_program(second)
