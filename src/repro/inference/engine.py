@@ -209,14 +209,13 @@ class InferenceEngine(Node):
         if isinstance(state, ResidentPopulation):
             return self._step_resident(state, inp)
         sharded = isinstance(state, ShardedPopulation)
+        timer = TELEMETRY.step_timer()
         if sharded:
-            population = state
+            results, population = map_step(self.executor, self, state, inp)
         else:
             # Single shard on the engine's own generator: the executor
             # plan degenerates to the classic sequential step.
-            population = ShardedPopulation.build([list(state)], [self.rng])
-        timer = TELEMETRY.step_timer()
-        results, population = map_step(self.executor, self, population, inp)
+            results = [self.step_shard(state, self.rng, inp)]
         timer.mark("model_eval")
         outs = [out for result in results for out in result.outs]
         stepped = [p for result in results for p in result.payload]

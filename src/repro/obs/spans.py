@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -65,25 +65,16 @@ __all__ = [
 PHASE_HISTOGRAM = "repro_step_phase_ms"
 
 
-class Span(tuple):
+class Span(NamedTuple):
     """One recorded phase duration: ``(phase, duration_ms)``.
 
-    A tuple subclass rather than a dataclass so worker-shipped span
-    buffers pickle as plain tuples with no class baggage.
+    A named tuple: it unpacks like the ``(phase, duration_ms)`` pairs
+    that worker processes ship back, and it pickles, and rebuilds from
+    its items (``Span._make``), as a ``Span``.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, phase: str, duration_ms: float) -> "Span":
-        return tuple.__new__(cls, (phase, duration_ms))
-
-    @property
-    def phase(self) -> str:
-        return self[0]
-
-    @property
-    def duration_ms(self) -> float:
-        return self[1]
+    phase: str
+    duration_ms: float
 
 
 class SpanRecorder:

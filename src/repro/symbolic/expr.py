@@ -265,11 +265,23 @@ def rebuild_tuple(value: tuple, items: List[Any]) -> tuple:
 def map_leaves(value: Any, fn: Callable[[Any], Any]) -> Any:
     """Rebuild a pytree of tuples, lists and dicts, applying ``fn`` to every leaf.
 
-    Tuples keep their type, so a namedtuple state stays one.
+    A tuple none of whose leaves ``fn`` changes (an empty one included)
+    is returned as it is; a rebuilt tuple keeps its type, so a
+    namedtuple state stays one. Lists and dicts are always rebuilt.
     """
     if isinstance(value, tuple):
-        items = [map_leaves(v, fn) for v in value]
-        # Plain tuples skip the call: model states nest dozens of them.
+        if not value:
+            return value
+        # A plain loop, as in the particle clone: model states nest
+        # dozens of tuples, most of them holding nothing ``fn`` changes.
+        items = []
+        changed = False
+        for item in value:
+            new = map_leaves(item, fn)
+            changed = changed or new is not item
+            items.append(new)
+        if not changed:
+            return value
         return tuple(items) if type(value) is tuple else rebuild_tuple(value, items)
     if isinstance(value, list):
         return [map_leaves(v, fn) for v in value]

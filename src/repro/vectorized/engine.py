@@ -163,12 +163,12 @@ class VectorizedEngine(InferenceEngine):
         if isinstance(state, ResidentPopulation):
             return self._step_resident(state, inp)
         sharded = isinstance(state, ShardedPopulation)
-        if sharded:
-            population = state
-        else:
-            population = ShardedPopulation.build([state], [self.rng])
         timer = TELEMETRY.step_timer()
-        results, population = map_step(self.executor, self, population, inp)
+        if sharded:
+            results, population = map_step(self.executor, self, state, inp)
+        else:
+            # One shard on the engine's own generator: step it directly.
+            results = [self.step_shard(state, self.rng, inp)]
         timer.mark("model_eval")
         outs = _merge([r.outs for r in results])
         step_logw = _merge([r.step_log_weights for r in results])
@@ -188,7 +188,7 @@ class VectorizedEngine(InferenceEngine):
                 self.resampler(weights, self.n_particles, self.rng)
             )
             merged = _merge([r.payload.state for r in results])
-            gathered = gather(merged, indices)
+            gathered = self._gather_merged(merged, indices)
             if len(sizes) == 1:
                 # The gathered state is fresh and already the whole shard.
                 chunks = [ParticleBatch(gathered, np.zeros(sizes[0]))]
@@ -287,6 +287,14 @@ class VectorizedEngine(InferenceEngine):
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
+    def _gather_merged(self, state: Any, indices: np.ndarray) -> Any:
+        """Resample the merged state of the step being run.
+
+        Nothing outside the step holds that state, so an engine may
+        gather it in place; this default copies like :func:`gather`.
+        """
+        return gather(state, indices)
+
     def _init_batch_state(self, n: int, rng: np.random.Generator) -> Any:
         raise NotImplementedError
 
@@ -478,11 +486,13 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
             graph = BatchedDSGraph(n)
             model_state = wrap_batch_state(state.model_state, n)
         else:
-            # SDS: run the step against a structural snapshot (array
-            # views, fresh slot bookkeeping) so a mid-step fragment
-            # error leaves the caller's pre-step state untouched — the
-            # failure-atomicity the scalar-fallback migration needs.
-            snapshot = state.batch_slice(0, state.n)
+            # SDS: run the step against a snapshot, the step's one copy
+            # of the slot structure (RVars re-pointed at it, arrays
+            # shared), so a mid-step fragment error leaves the caller's
+            # pre-step state untouched — the failure-atomicity the
+            # scalar-fallback migration needs. A resample then gathers
+            # into that same snapshot (_gather_merged).
+            snapshot = state.snapshot()
             graph = snapshot.graph
             model_state = snapshot.model_state
         graph.rng = rng
@@ -500,6 +510,11 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
             graph.sweep(new_state.slot_roots())
         step_logw = np.ascontiguousarray(_per_particle(ctx.log_weight, (n,)))
         return outs, new_state, step_logw
+
+    def _gather_merged(self, state: ChainState, indices: np.ndarray) -> ChainState:
+        # The step built this state (snapshot or merge), so its graph
+        # gathers into itself: no second structure copy, no RVar walk.
+        return state.gather_in_place(indices)
 
     def _output_distribution(self, outs: ChainOuts, weights) -> Distribution:
         if outs.kind == "gaussian":

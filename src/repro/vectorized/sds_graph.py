@@ -11,9 +11,9 @@ delayed-sampling execution is *lockstep-batchable*:
 
 * :class:`BatchedDSGraph` holds the delayed-sampling state of **all N
   particles at once**. A graph *slot* is one random variable of the
-  model; its lifecycle state lives in one ``int8`` entry of the
-  slot-state array, its links in flat ``int32`` parent / marginal-child
-  arrays, and its marginal parameters in stacked per-particle arrays.
+  model; its lifecycle state and its parent / marginal-child links
+  are entries of plain Python lists over slots, and its marginal
+  parameters are stacked per-particle arrays.
   Which arrays, and which conjugacy arithmetic, is decided by a
   **per-slot family tag** dispatching into the ``FAMILY_KERNELS``
   table — the pluggable SoA kernel set of each conjugacy family:
@@ -175,11 +175,11 @@ __all__ = [
     "REALIZED",
 ]
 
-#: int8 slot-state codes of the node-state array.
-FREE = np.int8(0)
-INITIALIZED = np.int8(1)
-MARGINALIZED = np.int8(2)
-REALIZED = np.int8(3)
+#: slot-state codes of the node-state list.
+FREE = 0
+INITIALIZED = 1
+MARGINALIZED = 2
+REALIZED = 3
 
 
 class ChainStructureError(GraphError):
@@ -597,25 +597,34 @@ class BatchedNode:
         return self.graph.slot_dim(self.slot)
 
     def __repr__(self) -> str:
-        state = int(self.graph.node_state[self.slot])
+        state = self.graph.node_state[self.slot]
         return f"BatchedNode(slot={self.slot}, state={state}, family={self.family})"
 
 
 class BatchedDSGraph:
     """Streaming delayed-sampling state of all N particles, as arrays.
 
-    Slot storage is structure-of-arrays: ``node_state`` (int8 lifecycle
-    codes), ``parent`` / ``marginal_child`` (int32 slot links, -1 for
-    none) are flat arrays over slots; ``mean`` holds one per-particle
+    Slot bookkeeping is plain Python lists over slots, read one entry at
+    a time by graft / marginalize / realize / sweep: ``node_state``
+    (int lifecycle codes), ``parent`` / ``marginal_child`` (slot links,
+    -1 for none), ``folded``, ``family`` (the conjugacy family tag,
+    dispatched through :data:`FAMILY_KERNELS`), ``edge`` (the conjugate
+    conditional linking a slot to its parent), ``children`` (the
+    forward pointers of the streaming discipline, a tuple per slot) and
+    ``name``. The per-particle data is NumPy: ``mean`` holds one
     parameter array per slot (Gaussian means, Beta alphas, Bernoulli
     probabilities), ``var`` the slot's scale — a shared float /
     covariance on pure chains, a per-particle array for Beta betas and
-    masked Gaussian updates — ``edge`` the conjugate conditional
-    linking a slot to its parent, ``children`` the forward pointers of
-    the streaming discipline, ``value_`` the realized values (a shared
-    scalar / vector for observations, a per-particle array for sampled
-    realizations). Which conjugacy arithmetic applies is the slot's
-    ``family`` tag, dispatched through :data:`FAMILY_KERNELS`.
+    masked Gaussian updates — and ``value_`` the realized values (a
+    shared scalar / vector for observations, a per-particle array for
+    sampled realizations).
+
+    Slot arrays are never written in place: every kernel returns fresh
+    arrays and the graph replaces its list entries. So a structure copy
+    (:meth:`_clone_structure`) copies only the lists and shares the
+    arrays, and an SDS step pays for one such copy, in the snapshot it
+    steps; its resample then gathers that snapshot's arrays into the
+    snapshot itself (:meth:`gather_in_place`).
 
     Freed slots are recycled through a free list, so a steady-state
     model touches the same handful of slots forever — the batched
@@ -632,16 +641,16 @@ class BatchedDSGraph:
         self.n = int(n)
         self.rng = rng
         capacity = 8
-        self.node_state = np.zeros(capacity, dtype=np.int8)
-        self.parent = np.full(capacity, -1, dtype=np.int32)
-        self.marginal_child = np.full(capacity, -1, dtype=np.int32)
-        self.folded = np.zeros(capacity, dtype=bool)
+        self.node_state: List[int] = [FREE] * capacity
+        self.parent: List[int] = [-1] * capacity
+        self.marginal_child: List[int] = [-1] * capacity
+        self.folded: List[bool] = [False] * capacity
         self.family: List[Optional[str]] = [None] * capacity
         self.mean: List[Any] = [None] * capacity
         self.var: List[Any] = [None] * capacity
         self.value_: List[Any] = [None] * capacity
         self.edge: List[Any] = [None] * capacity
-        self.children: List[List[int]] = [[] for _ in range(capacity)]
+        self.children: List[Tuple[int, ...]] = [()] * capacity
         self.name: List[str] = [""] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         # Statistics (exposed for tests and the evaluation harness).
@@ -652,29 +661,25 @@ class BatchedDSGraph:
     # -- slot management ------------------------------------------------
     @property
     def capacity(self) -> int:
-        return int(self.node_state.size)
+        return len(self.node_state)
 
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        self.node_state = np.concatenate(
-            [self.node_state, np.zeros(old, dtype=np.int8)]
-        )
-        self.parent = np.concatenate([self.parent, np.full(old, -1, np.int32)])
-        self.marginal_child = np.concatenate(
-            [self.marginal_child, np.full(old, -1, np.int32)]
-        )
-        self.folded = np.concatenate([self.folded, np.zeros(old, dtype=bool)])
         for lst, fill in (
+            (self.node_state, FREE),
+            (self.parent, -1),
+            (self.marginal_child, -1),
+            (self.folded, False),
             (self.family, None),
             (self.mean, None),
             (self.var, None),
             (self.value_, None),
             (self.edge, None),
+            (self.children, ()),
             (self.name, ""),
         ):
             lst.extend([fill] * old)
-        self.children.extend([] for _ in range(old))
         self._free.extend(range(new - 1, old - 1, -1))
 
     def _alloc(self, family: str, name: str = "") -> int:
@@ -686,7 +691,7 @@ class BatchedDSGraph:
         self.parent[slot] = -1
         self.marginal_child[slot] = -1
         self.folded[slot] = False
-        self.children[slot] = []
+        self.children[slot] = ()
         self.n_assumed += 1
         return slot
 
@@ -700,13 +705,13 @@ class BatchedDSGraph:
         self.var[slot] = None
         self.value_[slot] = None
         self.edge[slot] = None
-        self.children[slot] = []
+        self.children[slot] = ()
         self.name[slot] = ""
         self._free.append(slot)
 
     def live_slots(self) -> List[int]:
         """Slots currently holding a variable, in slot order."""
-        return [int(s) for s in np.flatnonzero(self.node_state != FREE)]
+        return [slot for slot, state in enumerate(self.node_state) if state != FREE]
 
     def slot_dim(self, slot: int) -> Optional[int]:
         """Dimension of a vector-valued slot (None for scalar values)."""
@@ -841,7 +846,7 @@ class BatchedDSGraph:
     # the M-path discipline (whole-population kernels)
     # ------------------------------------------------------------------
     def _live_marginal_child(self, slot: int) -> Optional[int]:
-        child = int(self.marginal_child[slot])
+        child = self.marginal_child[slot]
         if child >= 0 and self.node_state[child] == MARGINALIZED:
             return child
         return None
@@ -866,7 +871,7 @@ class BatchedDSGraph:
         cursor = slot
         while cursor >= 0 and self.node_state[cursor] == INITIALIZED:
             chain.append(cursor)
-            cursor = int(self.parent[cursor])
+            cursor = self.parent[cursor]
         if cursor >= 0 and self.node_state[cursor] != REALIZED:
             self.graft(cursor)
         for link in reversed(chain):
@@ -889,7 +894,7 @@ class BatchedDSGraph:
         """Batched marginal of an initialized slot from its parent."""
         if self.node_state[slot] != INITIALIZED:
             raise GraphError("marginalize expects an initialized node")
-        pslot = int(self.parent[slot])
+        pslot = self.parent[slot]
         if pslot < 0:
             raise GraphError("initialized node has no parent")
         self.n_marginalized += 1
@@ -916,7 +921,8 @@ class BatchedDSGraph:
         self.node_state[slot] = MARGINALIZED
         self.marginal_child[pslot] = slot
         # Streaming pointer flip: forward pointer in, backward pointer out.
-        self.children[pslot].append(slot)
+        # A new tuple, not an append: structure copies share the tuples.
+        self.children[pslot] = self.children[pslot] + (slot,)
         self.parent[slot] = -1
 
     def posterior_marginal(self, slot: int) -> Tuple[Any, Any]:
@@ -943,7 +949,7 @@ class BatchedDSGraph:
                     self.folded[child] = True
                 elif self.node_state[child] != REALIZED:
                     remaining.append(child)
-            self.children[slot] = remaining
+            self.children[slot] = tuple(remaining)
         return self.mean[slot], self.var[slot]
 
     def realize(self, slot: int, value: Any) -> None:
@@ -962,7 +968,7 @@ class BatchedDSGraph:
         self.marginal_child[slot] = -1
         # Forward pointers are dropped; initialized children keep their
         # backward pointer and collapse lazily in marginalize().
-        self.children[slot] = []
+        self.children[slot] = ()
 
     # ------------------------------------------------------------------
     # user-facing operations (Fig. 14's value / observe, batched)
@@ -1013,7 +1019,7 @@ class BatchedDSGraph:
         cursor = slot
         while cursor >= 0 and self.node_state[cursor] == INITIALIZED:
             chain.append(cursor)
-            cursor = int(self.parent[cursor])
+            cursor = self.parent[cursor]
         if cursor < 0:
             raise GraphError("initialized node chain has no anchored ancestor")
         if self.node_state[cursor] == REALIZED:
@@ -1061,7 +1067,7 @@ class BatchedDSGraph:
             if slot in marked or self.node_state[slot] == FREE:
                 continue
             marked.add(slot)
-            for nxt in (int(self.parent[slot]), int(self.marginal_child[slot])):
+            for nxt in (self.parent[slot], self.marginal_child[slot]):
                 if nxt >= 0 and nxt not in marked:
                     stack.append(nxt)
             for nxt in self.children[slot]:
@@ -1078,24 +1084,31 @@ class BatchedDSGraph:
     # row protocol (sharding / resampling transport)
     # ------------------------------------------------------------------
     def _clone_structure(self, n: int) -> "BatchedDSGraph":
+        """A graph over ``n`` particles with its own copy of every slot list.
+
+        The entries are shared: no slot array is written in place, and
+        the ``children`` tuples are replaced rather than extended, so the
+        copy and this graph diverge only as their operations replace
+        entries. This is the one structure copy of the graph.
+        """
         clone = object.__new__(type(self))
         clone.n = int(n)
         clone.rng = self.rng
-        clone.node_state = self.node_state.copy()
-        clone.parent = self.parent.copy()
-        clone.marginal_child = self.marginal_child.copy()
-        clone.folded = self.folded.copy()
-        clone.family = list(self.family)
-        clone.var = list(self.var)
-        clone.edge = list(self.edge)
-        clone.name = list(self.name)
-        clone.children = [list(kids) for kids in self.children]
-        clone._free = list(self._free)
+        clone.node_state = self.node_state[:]
+        clone.parent = self.parent[:]
+        clone.marginal_child = self.marginal_child[:]
+        clone.folded = self.folded[:]
+        clone.family = self.family[:]
+        clone.mean = self.mean[:]
+        clone.var = self.var[:]
+        clone.value_ = self.value_[:]
+        clone.edge = self.edge[:]
+        clone.children = self.children[:]
+        clone.name = self.name[:]
+        clone._free = self._free[:]
         clone.n_assumed = self.n_assumed
         clone.n_realized = self.n_realized
         clone.n_marginalized = self.n_marginalized
-        clone.mean = [None] * self.capacity
-        clone.value_ = [None] * self.capacity
         return clone
 
     def _is_per_particle(self, slot: int, value: Any) -> bool:
@@ -1105,19 +1118,25 @@ class BatchedDSGraph:
             return value.ndim >= 1
         return value.ndim == 2
 
-    def _map_rows(self, array_op, n: int) -> "BatchedDSGraph":
-        clone = self._clone_structure(n)
+    def _rows_into(self, target: "BatchedDSGraph", array_op) -> "BatchedDSGraph":
+        """Store ``array_op`` of each per-particle slot array in ``target``.
+
+        ``target`` is a structure copy of this graph, or the graph itself;
+        shared entries (scales, observed values) stay as they are.
+        """
         for slot in self.live_slots():
             mean = self.mean[slot]
-            clone.mean[slot] = array_op(mean) if mean is not None else None
+            if mean is not None:
+                target.mean[slot] = array_op(mean)
             if self._per_particle_scale(slot):
-                clone.var[slot] = array_op(self.var[slot])
+                target.var[slot] = array_op(self.var[slot])
             value = self.value_[slot]
             if self._is_per_particle(slot, value):
-                clone.value_[slot] = array_op(value)
-            else:
-                clone.value_[slot] = value
-        return clone
+                target.value_[slot] = array_op(value)
+        return target
+
+    def _map_rows(self, array_op, n: int) -> "BatchedDSGraph":
+        return self._rows_into(self._clone_structure(n), array_op)
 
     def batch_gather(self, indices: np.ndarray) -> "BatchedDSGraph":
         """Resample: per-particle arrays of every slot, indexed at once.
@@ -1127,6 +1146,14 @@ class BatchedDSGraph:
         """
         indices = np.asarray(indices)
         return self._map_rows(lambda arr: arr[indices], int(indices.size))
+
+    def gather_in_place(self, indices: np.ndarray) -> None:
+        """:meth:`batch_gather` into this graph itself, for a graph nobody
+        else holds: no structure copy, and handles to its slots stay valid.
+        """
+        indices = np.asarray(indices)
+        self._rows_into(self, lambda arr: arr[indices])
+        self.n = int(indices.size)
 
     def batch_slice(self, start: int, stop: int) -> "BatchedDSGraph":
         """One contiguous particle range (a shard's view of the graph)."""
@@ -1142,7 +1169,7 @@ class BatchedDSGraph:
         """
         graphs = [self] + list(tail)
         for other in graphs[1:]:
-            if not np.array_equal(other.node_state, self.node_state):
+            if other.node_state != self.node_state:
                 raise GraphError(
                     "cannot concatenate batched graphs with different slot structure"
                 )
@@ -1155,8 +1182,6 @@ class BatchedDSGraph:
                 clone.var[slot] = np.concatenate([g.var[slot] for g in graphs])
             if self._is_per_particle(slot, self.value_[slot]):
                 clone.value_[slot] = np.concatenate([g.value_[slot] for g in graphs])
-            else:
-                clone.value_[slot] = self.value_[slot]
         return clone
 
     def batch_rows(self) -> int:
@@ -1169,7 +1194,7 @@ class BatchedDSGraph:
         summed over all particles' individual graphs: per-particle
         parameter and value arrays count per element, shared scales once.
         """
-        words = 4 + self.capacity  # headers + the slot-state array
+        words = 4 + self.capacity  # headers + one slot-state word per slot
         for slot in self.live_slots():
             words += 8  # slot header (pointers, family, flags)
             mean = self.mean[slot]
@@ -1617,6 +1642,40 @@ class ChainState:
             return value
 
         return ChainState(new_graph, map_leaves(self.model_state, leaf), n_new)
+
+    def snapshot(self) -> "ChainState":
+        """The state an SDS step runs against, leaving this one as it was.
+
+        The graph's slot structure is copied once
+        (:meth:`BatchedDSGraph._clone_structure`) and the model state's
+        RVars re-pointed at the copy; arrays are shared, since none is
+        written in place.
+        """
+        return self._transform(
+            self.graph._clone_structure(self.n), lambda a: a, self.n
+        )
+
+    def gather_in_place(self, indices: np.ndarray) -> "ChainState":
+        """:meth:`batch_gather` into this state, for a state nobody else holds.
+
+        The graph gathers into itself, so the model state's RVars stay
+        valid and only its per-particle array leaves are gathered. The
+        graph engine's resample calls this on the merged state of the
+        step it is running; every other consumer (``shard_export``,
+        ``ParticleBatch.select``, a caller's state) uses
+        :meth:`batch_gather`.
+        """
+        indices = np.asarray(indices)
+        if self.graph is not None:
+            self.graph.gather_in_place(indices)
+        n = self.n
+
+        def leaf(value: Any) -> Any:
+            return value[indices] if has_particle_rows(value, n) else value
+
+        self.model_state = map_leaves(self.model_state, leaf)
+        self.n = int(indices.size)
+        return self
 
     def batch_rows(self) -> int:
         return self.n

@@ -9,6 +9,7 @@ in a fresh interpreter catches that in the ordinary test run. Stepping
 engines under it checks what the per-layer metrics count per step.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -40,7 +41,8 @@ def test_tracer_installs():
 
 #: Steps three engines (scalar pf, graph sds, closed-form Kalman sds)
 #: under the installed tracer and prints, per engine, how many
-#: ``inference.normalize`` spans and ESS probe values it recorded.
+#: ``inference.normalize`` spans, ESS probe values and
+#: ``exec.population_build`` spans its unsharded steps recorded.
 STEP_SCRIPT = """
 import json
 from tracing import Tracer
@@ -61,19 +63,35 @@ for label, model, method, backend in (
     spans, values = len(tracer.spans), len(tracer.values["ess"])
     for obs in (0.5, -1.0, 2.0):
         _, state = engine.step(state, obs)
-    normalize = sum(1 for s in tracer.spans[spans:] if s[0] == "inference.normalize")
-    counts[label] = [normalize, len(tracer.values["ess"]) - values]
+    names = [s[0] for s in tracer.spans[spans:]]
+    counts[label] = [
+        names.count("inference.normalize"),
+        len(tracer.values["ess"]) - values,
+        names.count("exec.population_build"),
+    ]
 print(json.dumps(counts))
 """
+
+
+@functools.lru_cache(maxsize=None)
+def _step_counts() -> dict:
+    return json.loads(_run(STEP_SCRIPT).strip().splitlines()[-1])
 
 
 def test_one_normalize_span_and_one_ess_value_per_step():
     """Each engine step normalizes once and takes its ESS once, through
     the ``repro.inference.engine.ess`` binding that the ESS probe wraps:
     ``inference.ess_frac`` read 0 when only a resample threshold took it."""
-    counts = json.loads(_run(STEP_SCRIPT).strip().splitlines()[-1])
+    counts = {label: c[:2] for label, c in _step_counts().items()}
     assert counts == {
         "pf@scalar": [3, 3],
         "sds@auto-graph": [3, 3],
         "sds@auto-kalman": [3, 3],
     }
+
+
+def test_unsharded_steps_build_no_population():
+    """An unsharded step runs its one shard directly: it does not wrap
+    the batch in a one-shard ``ShardedPopulation`` first."""
+    builds = {label: c[2] for label, c in _step_counts().items()}
+    assert builds == {"pf@scalar": 0, "sds@auto-graph": 0, "sds@auto-kalman": 0}

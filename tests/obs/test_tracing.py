@@ -1,5 +1,7 @@
 """Step-phase tracing: the disabled fast path and the live span flow."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,14 @@ from repro.obs.spans import (
     NULL_TIMER,
     PHASE_HISTOGRAM,
     TELEMETRY,
+    Span,
     SpanRecorder,
     StepTimer,
     disable_telemetry,
     enable_telemetry,
     telemetry,
 )
+from repro.symbolic.expr import map_leaves, rebuild_tuple
 
 OBS = [0.1, -0.3, 0.7, 0.2, -0.1, 0.4, 0.0, 0.5]
 
@@ -62,6 +66,26 @@ class TestRecorder:
         hist = reg.get(PHASE_HISTOGRAM, {"phase": "worker_step"})
         assert hist.count == 2
         assert hist.sum == 5.0
+
+
+class TestSpan:
+    def test_pickle_round_trip_keeps_the_type(self):
+        span = Span("model_eval", 1.5)
+        back = pickle.loads(pickle.dumps(span))
+        assert type(back) is Span
+        assert back == span
+        assert (back.phase, back.duration_ms) == ("model_eval", 1.5)
+
+    def test_map_leaves_rebuilds_a_changed_span(self):
+        # An unchanged tuple is shared, so only a changed leaf makes the
+        # walk rebuild the Span from its items.
+        spans = [Span("model_eval", 1.0), Span("resample", 2.0)]
+        doubled = map_leaves(
+            spans, lambda leaf: leaf * 2 if isinstance(leaf, float) else leaf
+        )
+        assert [type(s) for s in doubled] == [Span, Span]
+        assert doubled == [Span("model_eval", 2.0), Span("resample", 4.0)]
+        assert rebuild_tuple(spans[0], ["a", 3.0]) == Span("a", 3.0)
 
 
 class TestTelemetrySwitch:
