@@ -449,7 +449,7 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
     the graph cannot express at all (an unsupported family, an unknown
     operator — the bounded ``reason`` tags on
     :class:`ChainStructureError`). Each SDS step runs against a cheap
-    structural snapshot of the graph — mutations land on the snapshot,
+    structure copy of the graph — mutations land on the copy,
     so a :class:`ChainStructureError` mid-step leaves the pre-step
     state intact — and ``step`` catches the error, realizes every
     symbolic state leaf with one batched posterior draw per variable,
@@ -486,15 +486,14 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
             graph = BatchedDSGraph(n)
             model_state = wrap_batch_state(state.model_state, n)
         else:
-            # SDS: run the step against a snapshot, the step's one copy
-            # of the slot structure (RVars re-pointed at it, arrays
-            # shared), so a mid-step fragment error leaves the caller's
-            # pre-step state untouched — the failure-atomicity the
-            # scalar-fallback migration needs. A resample then gathers
-            # into that same snapshot (_gather_merged).
-            snapshot = state.snapshot()
-            graph = snapshot.graph
-            model_state = snapshot.model_state
+            # SDS: run the step against the step's one copy of the slot
+            # structure (arrays shared; the model state's RVars name
+            # slots, which the copy keeps), so a mid-step fragment error
+            # leaves the caller's pre-step state untouched — the
+            # failure-atomicity the scalar-fallback migration needs. A
+            # resample then gathers into that same copy (_gather_merged).
+            graph = state.graph._clone_structure(n)
+            model_state = state.model_state
         graph.rng = rng
         ctx = BatchedDelayedCtx(graph)
         out, new_model_state = self.model.step(model_state, inp, ctx)
@@ -512,8 +511,8 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
         return outs, new_state, step_logw
 
     def _gather_merged(self, state: ChainState, indices: np.ndarray) -> ChainState:
-        # The step built this state (snapshot or merge), so its graph
-        # gathers into itself: no second structure copy, no RVar walk.
+        # The step built this state (its structure copy or a merge), so
+        # its graph gathers into itself: no second structure copy.
         return state.gather_in_place(indices)
 
     def _output_distribution(self, outs: ChainOuts, weights) -> Distribution:

@@ -55,7 +55,8 @@ delayed-sampling execution is *lockstep-batchable*:
   semantics: ``sample`` returns a symbolic :class:`~repro.symbolic.RVar`
   over a batched slot, ``observe`` conditions all particles with one
   kernel and returns the per-particle log-weight vector, ``value``
-  realizes by one batched posterior draw.
+  realizes by one batched posterior draw. The ``RVar`` wraps a
+  :class:`BatchedNode`, which names the slot, not the graph.
 
 **Lockstep invariant.** The model's Python code runs *once* per step for
 the whole population, so every particle performs the same graph
@@ -265,6 +266,20 @@ def _family(name: Optional[str]) -> SlotFamily:
             reason="unsupported-family",
         )
     return fam
+
+
+def _per_particle_scale(family: str, scale: Any) -> bool:
+    """Whether a slot's or an output's scale has one entry per particle.
+
+    That is a 1-d array on a family with scalar rows: Beta betas, Gamma
+    rates, masked Gaussian variances. The array test comes first, so a
+    ``"delta"`` output, which has no scale, looks up no family.
+    """
+    return (
+        isinstance(scale, np.ndarray)
+        and scale.ndim == 1
+        and not _family(family).vector
+    )
 
 
 register_slot_family(
@@ -574,31 +589,28 @@ class DirichletCategoricalEdge:
 
 
 class BatchedNode:
-    """Handle to one slot of a :class:`BatchedDSGraph`.
+    """Handle to one slot of a batched graph: what an
+    :class:`~repro.symbolic.RVar` wraps under batched delayed sampling.
 
-    This is what an :class:`~repro.symbolic.RVar` wraps under batched
-    delayed sampling, so the existing symbolic machinery (affine
-    extraction, expression evaluation) works unchanged; ``family`` and
-    ``dim`` are the two attributes that machinery reads.
+    A handle names a slot and holds no graph. Every structure copy of a
+    :class:`BatchedDSGraph` keeps the slot numbers, so a model state's
+    handles are valid in each copy without being re-pointed. Only
+    ``assume_root`` and ``assume_conditional`` make handles, one per
+    slot allocation, so two references to one slot are one variable to
+    the affine extraction, which compares variables by identity.
+    ``family`` and ``dim`` (None for scalar values), the two attributes
+    the symbolic machinery reads, are fixed at allocation.
     """
 
-    __slots__ = ("graph", "slot")
+    __slots__ = ("slot", "family", "dim")
 
-    def __init__(self, graph: "BatchedDSGraph", slot: int):
-        self.graph = graph
-        self.slot = int(slot)
-
-    @property
-    def family(self) -> str:
-        return self.graph.family[self.slot]
-
-    @property
-    def dim(self) -> Optional[int]:
-        return self.graph.slot_dim(self.slot)
+    def __init__(self, slot: int, family: str, dim: Optional[int]):
+        self.slot = slot
+        self.family = family
+        self.dim = dim
 
     def __repr__(self) -> str:
-        state = self.graph.node_state[self.slot]
-        return f"BatchedNode(slot={self.slot}, state={state}, family={self.family})"
+        return f"BatchedNode(slot={self.slot}, family={self.family})"
 
 
 class BatchedDSGraph:
@@ -622,9 +634,10 @@ class BatchedDSGraph:
     Slot arrays are never written in place: every kernel returns fresh
     arrays and the graph replaces its list entries. So a structure copy
     (:meth:`_clone_structure`) copies only the lists and shares the
-    arrays, and an SDS step pays for one such copy, in the snapshot it
-    steps; its resample then gathers that snapshot's arrays into the
-    snapshot itself (:meth:`gather_in_place`).
+    arrays, and an SDS step pays for one such copy, which it steps; its
+    resample then gathers that copy's arrays into the copy itself
+    (:meth:`gather_in_place`). Every copy keeps the slot numbers, so
+    the :class:`BatchedNode` handles of a model state stay valid in it.
 
     Freed slots are recycled through a free list, so a steady-state
     model touches the same handful of slots forever — the batched
@@ -713,21 +726,6 @@ class BatchedDSGraph:
         """Slots currently holding a variable, in slot order."""
         return [slot for slot, state in enumerate(self.node_state) if state != FREE]
 
-    def slot_dim(self, slot: int) -> Optional[int]:
-        """Dimension of a vector-valued slot (None for scalar values)."""
-        if not _family(self.family[slot]).values_vector:
-            return None
-        mean = self.mean[slot]
-        if isinstance(mean, np.ndarray) and mean.ndim == 2:
-            return int(mean.shape[1])
-        edge = self.edge[slot]
-        if isinstance(edge, MvAffineEdge):
-            return int(edge.a.shape[0])
-        value = self.value_[slot]
-        if isinstance(value, np.ndarray):
-            return int(value.shape[-1])
-        return None
-
     # -- broadcast helpers ----------------------------------------------
     def _mean_rows(self, const, family: str) -> np.ndarray:
         """Broadcast a (possibly shared) parameter to the particle axis."""
@@ -766,14 +764,6 @@ class BatchedDSGraph:
                 )
             return np.asarray(var, dtype=float)
         return float(var)
-
-    def _per_particle_scale(self, slot: int) -> bool:
-        var = self.var[slot]
-        return (
-            isinstance(var, np.ndarray)
-            and not _family(self.family[slot]).vector
-            and var.ndim == 1
-        )
 
     def _value_rows(self, slot: int) -> np.ndarray:
         """A realized slot's value, broadcast to the particle axis."""
@@ -818,10 +808,11 @@ class BatchedDSGraph:
     def assume_root(self, family: str, mean, var, name: str = "") -> BatchedNode:
         """A marginalized root: per-particle (or broadcast) parameter rows."""
         slot = self._alloc(family, name)
-        self.mean[slot] = self._mean_rows(mean, family)
+        rows = self.mean[slot] = self._mean_rows(mean, family)
         self.var[slot] = self._scale_value(var, family)
         self.node_state[slot] = MARGINALIZED
-        return BatchedNode(self, slot)
+        vector = _family(family).values_vector
+        return BatchedNode(slot, family, rows.shape[1] if vector else None)
 
     def assume_conditional(
         self, edge: Any, parent: BatchedNode, name: str = ""
@@ -840,7 +831,9 @@ class BatchedDSGraph:
         self.parent[slot] = pslot
         self.edge[slot] = edge
         self.node_state[slot] = INITIALIZED
-        return BatchedNode(self, slot)
+        # The matrix edge is the only one with a vector-valued child.
+        dim = edge.a.shape[0] if isinstance(edge, MvAffineEdge) else None
+        return BatchedNode(slot, edge.child_family, dim)
 
     # ------------------------------------------------------------------
     # the M-path discipline (whole-population kernels)
@@ -1128,7 +1121,7 @@ class BatchedDSGraph:
             mean = self.mean[slot]
             if mean is not None:
                 target.mean[slot] = array_op(mean)
-            if self._per_particle_scale(slot):
+            if _per_particle_scale(self.family[slot], self.var[slot]):
                 target.var[slot] = array_op(self.var[slot])
             value = self.value_[slot]
             if self._is_per_particle(slot, value):
@@ -1178,7 +1171,7 @@ class BatchedDSGraph:
         for slot in self.live_slots():
             if self.mean[slot] is not None:
                 clone.mean[slot] = np.concatenate([g.mean[slot] for g in graphs])
-            if self._per_particle_scale(slot):
+            if _per_particle_scale(self.family[slot], self.var[slot]):
                 clone.var[slot] = np.concatenate([g.var[slot] for g in graphs])
             if self._is_per_particle(slot, self.value_[slot]):
                 clone.value_[slot] = np.concatenate([g.value_[slot] for g in graphs])
@@ -1280,7 +1273,6 @@ class BatchedDelayedCtx(ProbCtx):
                 node = e.node
                 if (
                     isinstance(node, BatchedNode)
-                    and node.graph is self.graph
                     and node.slot not in seen
                     and self.graph.node_state[node.slot] != REALIZED
                 ):
@@ -1423,9 +1415,9 @@ class BatchedDelayedCtx(ProbCtx):
         )
 
     def _chain_parent(self, node: Any) -> BatchedNode:
-        if not isinstance(node, BatchedNode) or node.graph is not self.graph:
+        if not isinstance(node, BatchedNode):
             raise ChainStructureError(
-                "expression references a variable from another graph"
+                "expression references a variable that is not a batched slot"
             )
         return node
 
@@ -1511,15 +1503,9 @@ class ChainOuts:
     def batch_rows(self) -> int:
         return int(self.mean.shape[0])
 
-    def _per_particle_var(self) -> bool:
-        return (
-            isinstance(self.var, np.ndarray)
-            and self.kind in ("gaussian", "beta", "bernoulli", "gamma", "poisson")
-            and self.var.ndim == 1
-        )
-
     def _map_var(self, array_op) -> Any:
-        return array_op(self.var) if self._per_particle_var() else self.var
+        per_particle = _per_particle_scale(self.kind, self.var)
+        return array_op(self.var) if per_particle else self.var
 
     def batch_gather(self, indices: np.ndarray) -> "ChainOuts":
         return ChainOuts(
@@ -1537,7 +1523,7 @@ class ChainOuts:
         outs = [self] + list(tail)
         if any(o.kind != self.kind for o in outs):
             raise GraphError("cannot concatenate chain outputs of different kinds")
-        if self._per_particle_var():
+        if _per_particle_scale(self.kind, self.var):
             var = np.concatenate([o.var for o in outs])
         else:
             var = self.var
@@ -1579,21 +1565,42 @@ def has_particle_rows(value: Any, n: int) -> bool:
     return isinstance(value, np.ndarray) and value.ndim >= 1 and value.shape[0] == n
 
 
-def _remap_expr(expr: Any, graph: BatchedDSGraph) -> Any:
-    """Re-point every RVar inside a symbolic expression at ``graph``."""
-    if isinstance(expr, RVar):
-        return RVar(BatchedNode(graph, expr.node.slot))
-    if isinstance(expr, App):
-        return App(expr.op, tuple(_remap_expr(a, graph) for a in expr.args))
-    return expr
+def _leaf_rows(leaves: List[Any], n: int, rows_op: Callable) -> Any:
+    """One model-state leaf after a row operation.
+
+    ``leaves`` holds that leaf in each state the operation reads: one
+    state, or every shard of a concat. ``RVar``s pass through, since
+    they name slots and every structure copy keeps the slots. An array
+    with one row per particle (:func:`has_particle_rows` of the first
+    leaf) becomes ``rows_op(leaves)``, whether it is the leaf itself or
+    an argument of a symbolic expression, such as the forced value
+    ``z`` in a state ``x + z``. Anything else is the first leaf's, as
+    is the matrix of a ``matvec``, which every particle shares
+    (:func:`batched_eval`).
+    """
+    head = leaves[0]
+    if isinstance(head, App):
+        shared = 1 if head.op == "matvec" else 0
+        args = head.args[:shared] + tuple(
+            _leaf_rows(list(parts), n, rows_op)
+            for parts in zip(*(leaf.args[shared:] for leaf in leaves))
+        )
+        if all(new is old for new, old in zip(args, head.args)):
+            return head
+        return App(head.op, args)
+    if has_particle_rows(head, n):
+        return rows_op(leaves)
+    return head
 
 
 class ChainState:
     """One engine-state leaf: the batched graph plus the model state.
 
     ``model_state`` is the scalar model's state pytree whose leaves may
-    be symbolic references into ``graph`` (SDS), per-particle arrays
-    (BDS, after forced realization), or shared constants. Implements the
+    be symbolic expressions over slots of ``graph`` (SDS), per-particle
+    arrays (BDS, after forced realization), or shared constants. Its
+    ``RVar``s name slots, which every structure copy of the graph keeps,
+    so the row operations move only per-particle arrays. Implements the
     row protocol, so resampling, sharding, and the worker-resident
     shard operations all go through the ordinary
     :mod:`repro.vectorized.batch` helpers.
@@ -1631,49 +1638,31 @@ class ChainState:
         map_leaves(self.model_state, visit)
         return roots
 
-    def _transform(self, new_graph, array_op, n_new: int) -> "ChainState":
-        def leaf(value: Any) -> Any:
-            if isinstance(value, SymExpr):
-                if new_graph is None:
-                    raise GraphError("symbolic state leaf without a graph")
-                return _remap_expr(value, new_graph)
-            if has_particle_rows(value, self.n):
-                return array_op(value)
-            return value
+    def _model_rows(self, array_op: Callable) -> Any:
+        """The model state with ``array_op`` applied to its particle rows."""
+        n = self.n
 
-        return ChainState(new_graph, map_leaves(self.model_state, leaf), n_new)
+        def rows_op(leaves: List[Any]) -> Any:
+            return array_op(leaves[0])
 
-    def snapshot(self) -> "ChainState":
-        """The state an SDS step runs against, leaving this one as it was.
-
-        The graph's slot structure is copied once
-        (:meth:`BatchedDSGraph._clone_structure`) and the model state's
-        RVars re-pointed at the copy; arrays are shared, since none is
-        written in place.
-        """
-        return self._transform(
-            self.graph._clone_structure(self.n), lambda a: a, self.n
+        return map_leaves(
+            self.model_state, lambda leaf: _leaf_rows([leaf], n, rows_op)
         )
 
     def gather_in_place(self, indices: np.ndarray) -> "ChainState":
         """:meth:`batch_gather` into this state, for a state nobody else holds.
 
-        The graph gathers into itself, so the model state's RVars stay
-        valid and only its per-particle array leaves are gathered. The
-        graph engine's resample calls this on the merged state of the
-        step it is running; every other consumer (``shard_export``,
+        The graph gathers into itself and the model state's per-particle
+        arrays are gathered; its ``RVar``s need nothing. The graph
+        engine's resample calls this on the merged state of the step it
+        is running; every other consumer (``shard_export``,
         ``ParticleBatch.select``, a caller's state) uses
         :meth:`batch_gather`.
         """
         indices = np.asarray(indices)
         if self.graph is not None:
             self.graph.gather_in_place(indices)
-        n = self.n
-
-        def leaf(value: Any) -> Any:
-            return value[indices] if has_particle_rows(value, n) else value
-
-        self.model_state = map_leaves(self.model_state, leaf)
+        self.model_state = self._model_rows(lambda a: a[indices])
         self.n = int(indices.size)
         return self
 
@@ -1685,13 +1674,15 @@ class ChainState:
         new_graph = (
             self.graph.batch_gather(indices) if self.graph is not None else None
         )
-        return self._transform(new_graph, lambda a: a[indices], int(indices.size))
+        model_state = self._model_rows(lambda a: a[indices])
+        return ChainState(new_graph, model_state, int(indices.size))
 
     def batch_slice(self, start: int, stop: int) -> "ChainState":
         new_graph = (
             self.graph.batch_slice(start, stop) if self.graph is not None else None
         )
-        return self._transform(new_graph, lambda a: a[start:stop], stop - start)
+        model_state = self._model_rows(lambda a: a[start:stop])
+        return ChainState(new_graph, model_state, stop - start)
 
     def batch_concat(self, tail: Iterable["ChainState"]) -> "ChainState":
         states = [self] + list(tail)
@@ -1700,23 +1691,14 @@ class ChainState:
             new_graph = self.graph.batch_concat([s.graph for s in states[1:]])
         else:
             new_graph = None
-
-        def leaf(values: List[Any]) -> Any:
-            head = values[0]
-            if isinstance(head, SymExpr):
-                if new_graph is None:
-                    raise GraphError("symbolic state leaf without a graph")
-                return _remap_expr(head, new_graph)
-            # Per-particle leaves concatenate; shared arrays (fixed
-            # parameter vectors) pass through: the slice left them
-            # intact, so the merge must too.
-            if has_particle_rows(head, self.n):
-                return np.concatenate(values)
-            return head
-
-        return ChainState(
-            new_graph, zip_leaves([s.model_state for s in states], leaf), total
+        # Per-particle arrays concatenate; shared arrays (fixed parameter
+        # vectors) pass through: the slice left them intact, so the merge
+        # must too.
+        model_state = zip_leaves(
+            [s.model_state for s in states],
+            lambda leaves: _leaf_rows(leaves, self.n, np.concatenate),
         )
+        return ChainState(new_graph, model_state, total)
 
     def batch_words(self) -> int:
         words = 2

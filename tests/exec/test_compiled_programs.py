@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from repro.bench.paper_sources import PAPER_SOURCES, load_paper_node
-from repro.core.compiled import CompiledProbNode
+from repro.core.compiled import CompiledProbNode, load
 from repro.exec import shutdown_executors
+from repro.frontend import parse_program
 from repro.inference import infer
 from repro.inference.contexts import SamplingCtx
+from repro.obs import metrics_snapshot
 from repro.vectorized import VectorizedGaussianChainSDS
 
 OBSERVATIONS = [0.3, 1.1, 0.4, 2.0, 1.7, 2.9, 2.2, 3.5]
@@ -98,3 +100,51 @@ def batched_means(name, method, executor):
 def test_batched_executor_matches_serial(name, method, executor):
     serial = batched_means(name, method, "serial")
     assert np.array_equal(batched_means(name, method, executor), serial)
+
+
+#: The Section-2 HMM with ``pre x`` read twice: its state holds one slot
+#: twice, and the two references must stay one variable in every copy of
+#: the graph, on every executor.
+DOUBLE_READ_SOURCE = """
+let node n y = x where
+  rec x = sample (gaussian (0. -> 0.5 *. pre x +. 0.5 *. pre x, 1.))
+  and () = observe (gaussian (x, 1.), y)
+"""
+
+
+def kalman_means(observations):
+    """Filtering means of x0 ~ N(0, 1), x = pre x + N(0, 1), y ~ N(x, 1)."""
+    mean, var, means = 0.0, 1.0, []
+    for t, y in enumerate(observations):
+        if t > 0:
+            var += 1.0
+        gain = var / (var + 1.0)
+        mean, var = mean + gain * (y - mean), (1.0 - gain) * var
+        means.append(mean)
+    return np.asarray(means)
+
+
+def slot_realizations():
+    return sum(
+        value
+        for key, value in metrics_snapshot()["counters"].items()
+        if key.startswith("repro_slot_realizations_total")
+    )
+
+
+@pytest.mark.parametrize("executor", ["serial"] + EXECUTORS)
+def test_state_reading_one_slot_twice_stays_exact(executor):
+    node = load(parse_program(DOUBLE_READ_SOURCE)).prob_node("n")
+    engine = infer(
+        node, n_particles=50, method="sds", seed=0, backend="auto",
+        executor=executor, resample_threshold=0.5,
+    )
+    assert isinstance(engine, VectorizedGaussianChainSDS)
+    before = slot_realizations()
+    state, means = engine.init(), []
+    for obs in OBSERVATIONS:
+        dist, state = engine.step(state, obs)
+        means.append(dist.mean())
+    np.testing.assert_allclose(means, kalman_means(OBSERVATIONS), rtol=0, atol=1e-9)
+    # Worker-resident shards count in their workers, so this reads 0 there.
+    assert slot_realizations() == before

@@ -30,9 +30,12 @@ from repro.inference import infer
 from repro.inference.engine import BoundedDelayedSampler, StreamingDelayedSampler
 from repro.lang import bernoulli, beta, gaussian
 from repro.runtime.node import ProbCtx, ProbNode
+from repro.symbolic import App, RVar
 from repro.vectorized import (
     BatchedDelayedCtx,
     BatchedDSGraph,
+    ChainOuts,
+    ChainState,
     ChainStructureError,
     GaussianMixtureArray,
     MvGaussianMixtureArray,
@@ -470,3 +473,75 @@ class TestChainStateRowOps:
         gathered = state.batch_gather(np.array([3, 3, 0, 1]))
         assert np.array_equal(gathered.model_state[0], [3.0, 3.0, 0.0, 1.0])
         assert np.array_equal(gathered.model_state[1], [9.0, 8.0, 7.0])
+
+    def test_arrays_inside_expressions_follow_row_ops(self):
+        """A forced value ``z`` inside a state expression ``x + z`` moves
+        with the particles; the RVar needs nothing, it names a slot, and
+        a ``matvec`` matrix is shared even when its side is the particle
+        count."""
+        graph = BatchedDSGraph(4)
+        x = RVar(graph.assume_root("gaussian", np.arange(4.0), 1.0))
+        v = RVar(graph.assume_root("mv_gaussian", np.zeros(4), np.eye(4)))
+        z = np.array([10.0, 11.0, 12.0, 13.0])
+        rotated = App("matvec", (np.diag([1.0, 2.0, 3.0, 4.0]), v))
+        state = ChainState(graph, (x + z, x * 2.0, rotated), 4)
+        merged = state.batch_slice(0, 1).batch_concat([state.batch_slice(1, 4)])
+        moved = {
+            "gather": (state.batch_gather(np.array([3, 3, 0, 1])), [13, 13, 10, 11]),
+            "slice": (state.batch_slice(1, 3), [11, 12]),
+            "concat": (merged, [10, 11, 12, 13]),
+        }
+        for name, (out, expected) in moved.items():
+            offset, doubled, turned = out.model_state
+            assert isinstance(offset, App) and offset.args[0] is x, name
+            assert offset.args[1].tolist() == expected, name
+            assert out.graph.mean[x.node.slot].tolist() == [e - 10 for e in expected]
+            # An expression holding no per-particle array is kept as it is.
+            assert doubled is state.model_state[1], name
+            assert turned is rotated, name
+
+    def test_forced_value_in_state_follows_resample_ancestry(self):
+        forced = []
+
+        class ForcedOffset(ProbNode):
+            def init(self):
+                return None
+
+            def step(self, state, yobs, ctx: ProbCtx):
+                x = ctx.sample(gaussian(0.0, 1.0))
+                z = ctx.value(ctx.sample(gaussian(0.0, 1.0)))
+                forced.append(z)
+                ctx.observe(gaussian(x, 1.0), yobs)
+                return x, x + z
+
+        engine = VectorizedGaussianChainSDS(
+            ForcedOffset(), mode="sds", n_particles=2, seed=0
+        )
+        engine.resampler = lambda weights, n, rng: np.array([1, 1])
+        _, batch = engine.step(engine.init(), 0.5)
+        # Both rows now belong to particle 1 (z read [0.1257, -0.1321]
+        # when the array stayed behind).
+        z = batch.state.model_state.args[1]
+        assert z.tolist() == [forced[0][1], forced[0][1]]
+
+
+class TestChainOutsRowOps:
+    def test_per_particle_variance_moves_and_covariance_stays(self):
+        var = np.array([1.0, 2.0, 3.0, 4.0])
+        gaussian_outs = ChainOuts("gaussian", np.arange(4.0), var)
+        gathered = gaussian_outs.batch_gather(np.array([3, 3, 0, 1]))
+        assert gathered.var.tolist() == [4.0, 4.0, 1.0, 2.0]
+        assert gaussian_outs.batch_slice(1, 3).var.tolist() == [2.0, 3.0]
+        merged = gaussian_outs.batch_slice(0, 2).batch_concat(
+            [gaussian_outs.batch_slice(2, 4)]
+        )
+        assert merged.var.tolist() == var.tolist()
+        # A covariance is shared even when its side equals the particle
+        # count, and a delta output has no scale at all.
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        for outs in (ChainOuts("mv_gaussian", np.zeros((2, 2)), cov),
+                     ChainOuts("delta", np.arange(2.0))):
+            merged = outs.batch_slice(0, 1).batch_concat([outs.batch_slice(1, 2)])
+            for moved in (outs.batch_gather(np.array([1, 1])),
+                          outs.batch_slice(0, 1), merged):
+                assert moved.var is outs.var

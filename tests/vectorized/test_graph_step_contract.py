@@ -1,11 +1,12 @@
 """What one unsharded step of the batched graph engine may touch.
 
-An SDS step copies the graph's slot structure once, into the snapshot
-it runs against, and its resample gathers the state that step built in
-place. So the state a caller passes in must come back as it was: the
-slot lists, the slot arrays, the model state and the log-weights. And
-stepping that same state again, on a second engine whose generator is
-at the same point, must give the same posterior bit for bit.
+An SDS step copies the graph's slot structure once and runs the model
+state as it is against that copy, since its RVars name slots, which the
+copy keeps; its resample gathers the state that step built in place. So
+the state a caller passes in must come back as it was: the slot lists,
+the slot arrays, the model state and the log-weights. And stepping that
+same state again, on a second engine whose generator is at the same
+point, must give the same posterior bit for bit.
 
 Sharded states are left out: their shard generators live in the state
 and advance by design.
@@ -17,8 +18,9 @@ import pytest
 from repro.bench import OutlierModel
 from repro.bench.paper_sources import load_paper_node
 from repro.inference import infer
-from repro.symbolic.expr import App, BatchConst, RVar, map_leaves
+from repro.symbolic.expr import App, BatchConst, RVar, map_leaves, structure_rvars
 from repro.vectorized import BatchedDSGraph, ChainState, VectorizedGaussianChainSDS
+from repro.vectorized import sds_graph
 
 OBS = [0.4, -1.2, 0.9, 35.0, 1.1, 0.3]
 N = 16
@@ -65,13 +67,10 @@ def fingerprint(batch):
             **{name: [_print(v) for v in getattr(graph, name)] for name in SLOT_ARRAYS},
             "n": graph.n,
         }
-
-        def owned(leaf):
-            if isinstance(leaf, RVar):
-                assert leaf.node.graph is graph
-            return leaf
-
-        map_leaves(state.model_state, owned)
+        # Every RVar names a live slot of this graph, of its family.
+        for node in structure_rvars(state.model_state):
+            assert graph.node_state[node.slot] != sds_graph.FREE
+            assert graph.family[node.slot] == node.family
     return printed
 
 
@@ -127,28 +126,53 @@ def test_step_leaves_its_input_state_as_it_was(make_model, method):
     assert fingerprint(after_again) == fingerprint(after)
 
 
-class TestOneStructureCopyPerStep:
-    """An unsharded SDS step copies the slot structure exactly once,
-    in its snapshot: the resample gathers into that snapshot."""
+STEP_KINDS = pytest.mark.parametrize(
+    "threshold", [None, 0.0], ids=["resamples", "keeps"]
+)
+STEP_MODELS = pytest.mark.parametrize(
+    "make_model", [outlier, hmm], ids=["outlier", "hmm"]
+)
 
-    @pytest.mark.parametrize("threshold", [None, 0.0], ids=["resamples", "keeps"])
-    @pytest.mark.parametrize("make_model", [outlier, hmm], ids=["outlier", "hmm"])
-    def test_one_copy(self, monkeypatch, make_model, threshold):
+
+class TestOneStructureCopyPerStep:
+    """An unsharded SDS step copies the slot structure exactly once, and
+    the resample gathers into that copy. The model state is walked only
+    for the sweep roots and, when the step resamples, the gather."""
+
+    def calls_per_step(self, monkeypatch, make_model, threshold, owner, name):
+        """The arguments of each call to ``owner.name``, per step."""
         engine = infer(make_model(), N, method="sds", backend="auto", seed=3,
                        resample_threshold=threshold)
         assert isinstance(engine, VectorizedGaussianChainSDS)
         state = run(engine, OBS[:2])
-        copies = []
-        clone_structure = BatchedDSGraph._clone_structure
+        calls = []
+        original = getattr(owner, name)
 
-        def counting(self, n):
-            copies.append(n)
-            return clone_structure(self, n)
+        def counting(*args):
+            calls[-1].append(args)
+            return original(*args)
 
-        monkeypatch.setattr(BatchedDSGraph, "_clone_structure", counting)
+        monkeypatch.setattr(owner, name, counting)
         for obs in OBS[2:]:
-            del copies[:]
+            calls.append([])
             _, state = engine.step(state, obs)
-            assert copies == [N]
             # A resample resets the log-weights; a kept step accumulates them.
             assert np.any(state.log_weights != 0.0) == (threshold == 0.0)
+        return calls
+
+    @STEP_KINDS
+    @STEP_MODELS
+    def test_one_copy(self, monkeypatch, make_model, threshold):
+        for copies in self.calls_per_step(
+            monkeypatch, make_model, threshold, BatchedDSGraph, "_clone_structure"
+        ):
+            assert [n for _, n in copies] == [N]
+
+    @STEP_KINDS
+    @STEP_MODELS
+    def test_model_state_walks(self, monkeypatch, make_model, threshold):
+        walks = 2 if threshold is None else 1
+        for calls in self.calls_per_step(
+            monkeypatch, make_model, threshold, sds_graph, "map_leaves"
+        ):
+            assert len(calls) == walks
